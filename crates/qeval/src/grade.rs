@@ -14,8 +14,11 @@ use qcir::circuit::Circuit;
 use qcir::diag::Diagnostic;
 use qlm::spec::TaskSpec;
 use qsim::backend::{self, BackendChoice, SimError};
+use qsim::dist::Distribution;
 use qsim::exec::{Executor, ExecutorConfig};
-use qsim::job::JobSpec;
+use qsim::job::{JobKey, JobSpec};
+use qsim::lru::lock;
+use std::sync::Arc;
 
 /// Total-variation tolerance for exact-distribution comparisons.
 pub const TVD_TOLERANCE_EXACT: f64 = 0.05;
@@ -111,6 +114,16 @@ impl GradeDetail {
     pub fn passed(&self) -> bool {
         self.syntactic_ok && self.semantic_ok
     }
+
+    /// A semantic failure with no measured distance.
+    fn unmeasured(syntactic_ok: bool, diagnostics: Vec<Diagnostic>) -> Self {
+        GradeDetail {
+            syntactic_ok,
+            semantic_ok: false,
+            diagnostics,
+            tvd: None,
+        }
+    }
 }
 
 /// Grades `source` against the task's reference circuit.
@@ -127,43 +140,20 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
     // Stage 1: lex/parse.
     let program = match qcir::dsl::parse(source) {
         Ok(p) => p,
-        Err(diag) => {
-            return GradeDetail {
-                syntactic_ok: false,
-                semantic_ok: false,
-                diagnostics: vec![diag],
-                tvd: None,
-            };
-        }
+        Err(diag) => return GradeDetail::unmeasured(false, vec![diag]),
     };
     // Stage 1b: semantic check + lowering.
     let outcome = qcir::check::check(&program, &qcir::api::ApiRegistry::standard());
     let Some(circuit) = outcome.circuit.clone() else {
-        return GradeDetail {
-            syntactic_ok: false,
-            semantic_ok: false,
-            diagnostics: outcome.diagnostics,
-            tvd: None,
-        };
+        return GradeDetail::unmeasured(false, outcome.diagnostics);
     };
 
     // Stage 2: behavioural comparison.
     let reference = spec.reference_circuit();
-    if circuit.num_clbits() != reference.num_clbits() {
-        return GradeDetail {
-            syntactic_ok: true,
-            semantic_ok: false,
-            diagnostics: outcome.diagnostics,
-            tvd: None,
-        };
-    }
-    if circuit.num_measurements() == 0 && reference.num_measurements() > 0 {
-        return GradeDetail {
-            syntactic_ok: true,
-            semantic_ok: false,
-            diagnostics: outcome.diagnostics,
-            tvd: None,
-        };
+    if circuit.num_clbits() != reference.num_clbits()
+        || (circuit.num_measurements() == 0 && reference.num_measurements() > 0)
+    {
+        return GradeDetail::unmeasured(true, outcome.diagnostics);
     }
     let (Ok(choice_c), Ok(choice_r)) = (grading_backend(&circuit), grading_backend(&reference))
     else {
@@ -171,74 +161,85 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         // entanglers over the cap, …): grade as semantically wrong rather
         // than attempting to simulate. Clifford circuits sail through at
         // any classical-register width.
-        return GradeDetail {
-            syntactic_ok: true,
-            semantic_ok: false,
-            diagnostics: outcome.diagnostics,
-            tvd: None,
-        };
+        return GradeDetail::unmeasured(true, outcome.diagnostics);
     };
 
-    // Both branches below construct fresh `Executor`s per grade, but dense
-    // circuit lowering is amortized anyway: executors share the process-wide
-    // `qsim::plan` cache, so grading many candidates against one reference
-    // (or re-grading the same candidate) compiles each distinct circuit
-    // once and replays the fused plan afterwards.
+    // The exact branch recomputes its distributions on every grade (they
+    // are cheap, and circuit lowering is amortized by the process-wide
+    // `qsim::plan` cache). The sampled branch memoizes whole results: see
+    // `sampled_distributions`.
     let small = circuit.num_qubits() <= GRADING_DENSE_QUBIT_CAP
         && reference.num_qubits() <= GRADING_DENSE_QUBIT_CAP;
     let exact = small
         && qsim::exec::measures_only_at_end(&circuit)
         && qsim::exec::measures_only_at_end(&reference);
-    let (candidate_dist, reference_dist, tolerance) = if exact {
-        (
-            Executor::ideal_distribution(&circuit, GRADING_SEED),
-            Executor::ideal_distribution(&reference, GRADING_SEED),
-            TVD_TOLERANCE_EXACT,
-        )
+    let (tvd, tolerance) = if exact {
+        let candidate = Executor::ideal_distribution(&circuit, GRADING_SEED);
+        let reference = Executor::ideal_distribution(&reference, GRADING_SEED);
+        (candidate.tvd(&reference), TVD_TOLERANCE_EXACT)
     } else {
         // Sampled path: [`grading_backend`] routes each circuit to its
         // class's engine (tableau for large Clifford, MPS for short-range
-        // large general circuits). Each job pins its own backend, so the
-        // candidate/reference pair always runs through one `try_run_batch`
-        // call — backend resolution and worker-pool spin-up happen once per
-        // grade even when the two circuits land on different engines.
+        // large general circuits), and each job pins that backend.
         let shots = if small {
             GRADING_SHOTS
         } else {
             GRADING_SHOTS_LARGE
         };
         let exec = ExecutorConfig::new().threads(sim_threads.max(1)).build();
-        let mut results = exec.try_run_batch(&[
+        let jobs = [
             JobSpec::new(circuit, shots, GRADING_SEED).with_backend(choice_c),
             JobSpec::new(reference, shots, GRADING_SEED ^ 0x5555).with_backend(choice_r),
-        ]);
-        let reference_counts = results.pop().expect("two batch results");
-        let candidate = results.pop().expect("two batch results");
-        let (Ok(candidate), Ok(reference_counts)) = (candidate, reference_counts) else {
+        ];
+        let Some(dists) = sampled_distributions(&exec, &jobs) else {
             // A run-time refusal (e.g. the MPS truncation budget tripping
             // on a candidate that entangles far more than its class
             // suggested): grade as semantically wrong, never trust
             // low-fidelity counts.
-            return GradeDetail {
-                syntactic_ok: true,
-                semantic_ok: false,
-                diagnostics: outcome.diagnostics,
-                tvd: None,
-            };
+            return GradeDetail::unmeasured(true, outcome.diagnostics);
         };
-        (
-            candidate.to_distribution(),
-            reference_counts.to_distribution(),
-            TVD_TOLERANCE_SAMPLED,
-        )
+        (dists[0].tvd(&dists[1]), TVD_TOLERANCE_SAMPLED)
     };
-    let tvd = candidate_dist.tvd(&reference_dist);
     GradeDetail {
         syntactic_ok: true,
         semantic_ok: tvd <= tolerance,
         diagnostics: outcome.diagnostics,
         tvd: Some(tvd),
     }
+}
+
+/// The distributions of sampled grading `jobs`, memoized by [`JobKey`] in
+/// the shared plan cache ([`qsim::plan::PlanCache::results`]); a hit is
+/// bit-identical to a re-run (the [`qsim::job`] determinism contract).
+/// Only the misses run, through one [`Executor::try_run_batch`] with the
+/// lock released, and only successes are remembered. `None` when any job
+/// is refused at run time.
+fn sampled_distributions(exec: &Executor, jobs: &[JobSpec]) -> Option<Vec<Arc<Distribution>>> {
+    let cache = qsim::plan::shared_cache();
+    let keys: Vec<JobKey> = jobs
+        .iter()
+        .map(|job| job.key(exec.backend_choice(), exec.truncation_budget()))
+        .collect();
+    let mut found: Vec<_> = {
+        let mut cache = lock(&cache);
+        keys.iter().map(|key| cache.results().get(key)).collect()
+    };
+    let missed: Vec<usize> = (0..jobs.len()).filter(|&i| found[i].is_none()).collect();
+    if !missed.is_empty() {
+        let runs = exec.try_run_batch(&missed.iter().map(|&i| jobs[i].clone()).collect::<Vec<_>>());
+        let runs: Vec<_> = runs
+            .into_iter()
+            .map(|run| run.ok().map(|counts| Arc::new(counts.to_distribution())))
+            .collect();
+        let mut cache = lock(&cache);
+        for (&i, run) in missed.iter().zip(runs) {
+            if let Some(dist) = &run {
+                cache.results().insert(keys[i], Arc::clone(dist));
+            }
+            found[i] = run;
+        }
+    }
+    found.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -5,15 +5,18 @@
 //! per-task partial results are folded in task order, so the outcome is
 //! bit-identical to [`evaluate`] for every thread count.
 //!
-//! Within each graded sample, the candidate/reference circuit pair is
-//! submitted as two [`qsim::job::JobSpec`]s — each pinning its own grading
-//! backend — through one [`qsim::exec::Executor::try_run_batch`] call (see
-//! [`crate::grade::grade_source_with_threads`]). When a grade runs with
-//! multiple simulator worker threads — the serial [`evaluate`] path, which
-//! grades with the host's full width — backend resolution and shot-pool
-//! spin-up happen once per grade instead of once per circuit. Parallel
-//! eval workers grade with one simulator thread (so pools do not nest),
-//! where the batch call degrades to two sequential job runs by design.
+//! Within each sampled grade, the candidate/reference circuit pair is two
+//! [`qsim::job::JobSpec`]s, each pinning its own grading backend (see
+//! [`crate::grade::grade_source_with_threads`]). Their results are
+//! memoized by [`qsim::job::JobKey`] in the process-wide plan cache
+//! ([`qsim::plan::PlanCache::results`], as many entries as the plan cache,
+//! emptied whenever that cache is replaced). A task's reference therefore
+//! runs once per grid rather than once per sample, and a repeated
+//! candidate is a lookup. Only the misses run, through one
+//! [`qsim::exec::Executor::try_run_batch`] call. Memo hits are
+//! bit-identical to re-execution, so outcomes do not depend on what ran
+//! before. Parallel eval workers grade with one simulator thread (so
+//! pools do not nest).
 
 use crate::grade::grade_source_with_threads;
 use crate::suite::Task;

@@ -14,6 +14,7 @@
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
 use crate::dist::{Counts, Distribution};
 use crate::job::JobSpec;
+use crate::lru::lock;
 use crate::mps::{MpsSampler, MpsState};
 use crate::noise::NoiseModel;
 use crate::plan::{self, CircuitPlan, PlanCache, PlanCacheStats};
@@ -328,26 +329,20 @@ impl Executor {
 
     /// The cached compiled plan for `circuit` (compiling on first sight).
     pub fn plan_for(&self, circuit: &Circuit) -> Arc<CircuitPlan> {
-        self.plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get_or_compile(circuit)
+        PlanCache::get_or_compile(&self.plan_cache, circuit)
     }
 
     /// The cached noisy replay plan for `circuit` under this executor's
     /// noise model (compiling on first sight).
     fn noisy_plan_for(&self, circuit: &Circuit) -> Arc<NoisyPlan> {
-        self.plan_cache
-            .lock()
-            .expect("plan cache poisoned")
-            .get_or_compile_noisy(circuit, &self.config.noise)
+        PlanCache::get_or_compile_noisy(&self.plan_cache, circuit, &self.config.noise)
     }
 
     /// A snapshot of this executor's plan cache counters. With
     /// [`PlanCacheMode::Shared`] (the default) these cover every sharing
     /// executor in the process, not just this one.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plan_cache.lock().expect("plan cache poisoned").stats()
+        lock(&self.plan_cache).stats()
     }
 
     /// Runs `shots` shots with a deterministic seed.
@@ -1005,10 +1000,7 @@ impl Executor {
             } else {
                 None
             };
-            let plan = plan::shared_cache()
-                .lock()
-                .expect("plan cache poisoned")
-                .get_or_compile(circuit);
+            let plan = PlanCache::get_or_compile(&plan::shared_cache(), circuit);
             let mut sv = StateVector::zero(circuit.num_qubits());
             plan.apply_unitary(&mut sv);
             let mut dist = Distribution::new(circuit.num_clbits());

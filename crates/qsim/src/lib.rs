@@ -34,6 +34,8 @@
 //!   conditionals and mid-circuit measurement, driven by cached plans on
 //!   both the noiseless and the noisy dense paths. Configured through the
 //!   typed [`exec::ExecutorConfig`].
+//! * [`lru`] — the generic least-recently-used map with built-in hit,
+//!   miss and eviction counters behind every cache in the workspace.
 //! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
 //!   [`job::JobStatus`] / [`job::JobResult`]) shared by in-process batch
 //!   calls, the `qugen-serve` daemon and future shard coordinators, with
@@ -65,6 +67,7 @@ pub mod dist;
 pub mod exec;
 pub mod job;
 pub mod kernels;
+pub mod lru;
 pub mod mps;
 pub mod noise;
 pub mod observable;

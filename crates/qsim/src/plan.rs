@@ -21,7 +21,8 @@
 //!   runs of identical circuits — the grader's candidate/reference pairs,
 //!   `try_run_batch` suites, REPL loops — stop re-analyzing them. All
 //!   [`crate::exec::Executor`]s share one process-wide cache by default
-//!   ([`shared_cache`]).
+//!   ([`shared_cache`]). The same cache also memoizes sampled grading
+//!   results by [`JobKey`] ([`PlanCache::results`]).
 //!
 //! # Fusion legality
 //!
@@ -71,7 +72,10 @@
 //! fresh, while the old entry ages out of the LRU ([`PLAN_CACHE_CAPACITY`]
 //! entries).
 
+use crate::dist::Distribution;
+use crate::job::JobKey;
 use crate::kernels;
+use crate::lru::{lock, Lru};
 use crate::noise::NoiseModel;
 use crate::replay::{noise_signature, NoisyPlan};
 use crate::state::StateVector;
@@ -82,7 +86,7 @@ use qcir::math::C64;
 use qugen_telemetry::metrics::Counter;
 use qugen_telemetry::{metrics, trace};
 use rand::Rng;
-use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Interned registry handles for the plan layer: cache traffic and the
@@ -1370,146 +1374,110 @@ impl Fnv128 {
     }
 }
 
-/// An LRU of compiled plans keyed by [`fingerprint`]. Wrap it in a mutex
-/// and share it (the executor does, via [`shared_cache`] by default): hits
-/// return the `Arc` without touching the circuit again.
+/// An LRU of compiled plans keyed by [`fingerprint`], plus the memo of
+/// sampled grading results (see [`PlanCache::results`]). Wrap it in a
+/// mutex and share it (the executor does, via [`shared_cache`] by
+/// default): hits return the `Arc` without touching the circuit again.
 #[derive(Debug)]
 pub struct PlanCache {
-    cap: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
     fusion_declined: u64,
-    map: HashMap<u128, (u64, Arc<CircuitPlan>)>,
+    map: Lru<u128, Arc<CircuitPlan>>,
     /// Noisy replay plans, keyed by circuit fingerprint plus the noise
     /// model's structural signature (which channels draw randomness).
-    noisy: HashMap<(u128, u8), (u64, Arc<NoisyPlan>)>,
+    noisy: Lru<(u128, u8), Arc<NoisyPlan>>,
+    results: Lru<JobKey, Arc<Distribution>>,
 }
 
 impl PlanCache {
-    /// An empty cache evicting least-recently-used entries past `cap`
-    /// (clamped to ≥ 1).
+    /// An empty cache whose maps each evict least-recently-used entries
+    /// past `cap` (clamped to ≥ 1).
     pub fn new(cap: usize) -> Self {
         PlanCache {
-            cap: cap.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
             fusion_declined: 0,
-            map: HashMap::new(),
-            noisy: HashMap::new(),
+            map: Lru::new(cap),
+            noisy: Lru::new(cap),
+            results: Lru::new(cap),
         }
     }
 
-    /// The cached plan for `circuit`, compiling and inserting on miss.
-    /// Traffic is double-counted on purpose: into this cache's own
-    /// [`PlanCacheStats`] and into the process-wide registry
-    /// (`plan.cache_hits` / `plan.cache_misses` / `plan.cache_evictions`),
-    /// which aggregates over every cache in the process.
-    pub fn get_or_compile(&mut self, circuit: &Circuit) -> Arc<CircuitPlan> {
-        let key = fingerprint(circuit);
-        self.tick += 1;
-        if let Some((last_used, plan)) = self.map.get_mut(&key) {
-            *last_used = self.tick;
-            self.hits += 1;
-            plan_metrics().cache_hits.inc();
-            return Arc::clone(plan);
+    /// The cached plan for `circuit`, compiling on miss. The lock is
+    /// released while compiling, so a slow (or panicking) compile never
+    /// blocks or poisons other users; two threads that miss on one key
+    /// both compile and insert the same plan. Traffic is double-counted on
+    /// purpose: into this cache's own [`PlanCacheStats`] and into the
+    /// process-wide registry (`plan.cache_hits` / `plan.cache_misses` /
+    /// `plan.cache_evictions`), which aggregates over every cache in the
+    /// process.
+    pub fn get_or_compile(cache: &Mutex<Self>, circuit: &Circuit) -> Arc<CircuitPlan> {
+        let compile = || Arc::new(CircuitPlan::compile(circuit));
+        let (plan, compiled) = Self::memo(cache, |c| &mut c.map, fingerprint(circuit), compile);
+        if compiled {
+            lock(cache).fusion_declined += plan.fusion_declined() as u64;
         }
-        self.misses += 1;
-        plan_metrics().cache_misses.inc();
-        let plan = Arc::new(CircuitPlan::compile(circuit));
-        self.fusion_declined += plan.fusion_declined() as u64;
-        if self.map.len() >= self.cap {
-            if let Some(&oldest) = self.map.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| k) {
-                self.map.remove(&oldest);
-                self.evictions += 1;
-                plan_metrics().cache_evictions.inc();
-            }
-        }
-        self.map.insert(key, (self.tick, Arc::clone(&plan)));
         plan
     }
 
     /// The cached noisy replay plan for `circuit` under `noise`'s channel
-    /// signature, compiling and inserting on miss. Shares this cache's
-    /// counters; the noisy map has its own `cap`-entry LRU budget. Rate
-    /// *values* are not part of the key — replay reads them live — so
-    /// sweeping a rate reuses one compiled plan.
+    /// signature, compiling on miss as [`PlanCache::get_or_compile`] does.
+    /// Shares this cache's counters; the noisy map has its own `cap`-entry
+    /// LRU budget. Rate *values* are not part of the key — replay reads
+    /// them live — so sweeping a rate reuses one compiled plan.
     pub fn get_or_compile_noisy(
-        &mut self,
+        cache: &Mutex<Self>,
         circuit: &Circuit,
         noise: &NoiseModel,
     ) -> Arc<NoisyPlan> {
         let key = (fingerprint(circuit), noise_signature(noise));
-        self.tick += 1;
-        if let Some((last_used, plan)) = self.noisy.get_mut(&key) {
-            *last_used = self.tick;
-            self.hits += 1;
-            plan_metrics().cache_hits.inc();
-            return Arc::clone(plan);
+        let compile = || Arc::new(NoisyPlan::compile(circuit, noise));
+        Self::memo(cache, |c| &mut c.noisy, key, compile).0
+    }
+
+    /// `map`'s value for `key`, or `compile`'s, run with the lock released
+    /// and then inserted; `true` when it compiled.
+    fn memo<K: Hash + Eq + Clone, V: Clone>(
+        cache: &Mutex<Self>,
+        map: fn(&mut Self) -> &mut Lru<K, V>,
+        key: K,
+        compile: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        let m = plan_metrics();
+        let hit = map(&mut lock(cache)).get(&key);
+        if let Some(value) = hit {
+            m.cache_hits.inc();
+            return (value, false);
         }
-        self.misses += 1;
-        plan_metrics().cache_misses.inc();
-        let plan = Arc::new(NoisyPlan::compile(circuit, noise));
-        if self.noisy.len() >= self.cap {
-            if let Some(&oldest) = self
-                .noisy
-                .iter()
-                .min_by_key(|(_, (t, _))| *t)
-                .map(|(k, _)| k)
-            {
-                self.noisy.remove(&oldest);
-                self.evictions += 1;
-                plan_metrics().cache_evictions.inc();
-            }
+        m.cache_misses.inc();
+        let value = compile();
+        if map(&mut lock(cache)).insert(key, value.clone()).is_some() {
+            m.cache_evictions.inc();
         }
-        self.noisy.insert(key, (self.tick, Arc::clone(&plan)));
-        plan
+        (value, true)
+    }
+
+    /// The memo of sampled grading results, keyed by [`JobKey`] (sound by
+    /// the [`crate::job`] determinism contract) and filled by `qeval`'s
+    /// grader. Its traffic is not part of [`PlanCacheStats`].
+    pub fn results(&mut self) -> &mut Lru<JobKey, Arc<Distribution>> {
+        &mut self.results
     }
 
     /// The eviction threshold this cache was built with.
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.map.capacity()
     }
 
-    /// Cached plan count (noiseless and noisy replay plans).
-    pub fn len(&self) -> usize {
-        self.map.len() + self.noisy.len()
-    }
-
-    /// `true` when no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty() && self.noisy.is_empty()
-    }
-
-    /// Lookup hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookup misses (compiles) since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// LRU evictions since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Every counter and size in one copy — what
+    /// Every plan counter and size in one copy — what
     /// [`crate::exec::Executor::plan_cache_stats`] and the serve `stats`
     /// op surface.
     pub fn stats(&self) -> PlanCacheStats {
+        let (plans, noisy) = (self.map.stats(), self.noisy.stats());
         PlanCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
+            hits: plans.hits + noisy.hits,
+            misses: plans.misses + noisy.misses,
+            evictions: plans.evictions + noisy.evictions,
             fusion_declined: self.fusion_declined,
-            len: self.len(),
-            capacity: self.cap,
+            len: self.map.len() + self.noisy.len(),
+            capacity: self.capacity(),
         }
     }
 }
@@ -1534,7 +1502,9 @@ pub struct PlanCacheStats {
 
 /// The process-wide plan cache every [`crate::exec::Executor`] uses unless
 /// given a private one — so the grader's fresh per-call executors still
-/// share compiled plans across repeated candidate/reference runs.
+/// share compiled plans across repeated candidate/reference runs, and the
+/// grader's result memo ([`PlanCache::results`]) lives here too: replacing
+/// the shared cache empties both.
 ///
 /// Its capacity is read from `QUGEN_PLAN_CACHE` (via [`capacity_from_env`])
 /// exactly once, at first use; later changes to the variable only affect
@@ -1849,23 +1819,24 @@ mod tests {
 
     #[test]
     fn plan_cache_hits_and_evicts() {
-        let mut cache = PlanCache::new(2);
+        let cache = Mutex::new(PlanCache::new(2));
         let mut a = Circuit::new(1, 0);
         a.h(0);
         let mut b = Circuit::new(1, 0);
         b.x(0);
         let mut c = Circuit::new(1, 0);
         c.t(0);
-        let pa = cache.get_or_compile(&a);
-        assert!(Arc::ptr_eq(&pa, &cache.get_or_compile(&a)));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        cache.get_or_compile(&b);
-        cache.get_or_compile(&c); // evicts `a` (least recently used)
-        assert_eq!(cache.len(), 2);
-        cache.get_or_compile(&a);
-        assert_eq!(cache.misses(), 4, "evicted plan recompiles");
-        assert_eq!(cache.evictions(), 2, "b's insert and a's return each evict");
-        let stats = cache.stats();
+        let pa = PlanCache::get_or_compile(&cache, &a);
+        assert!(Arc::ptr_eq(&pa, &PlanCache::get_or_compile(&cache, &a)));
+        let stats = lock(&cache).stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        PlanCache::get_or_compile(&cache, &b);
+        PlanCache::get_or_compile(&cache, &c); // evicts `a` (least recently used)
+        assert_eq!(lock(&cache).stats().len, 2);
+        PlanCache::get_or_compile(&cache, &a);
+        let stats = lock(&cache).stats();
+        assert_eq!(stats.misses, 4, "evicted plan recompiles");
+        assert_eq!(stats.evictions, 2, "b's insert and a's return each evict");
         assert_eq!(
             (
                 stats.hits,

@@ -12,8 +12,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qsim::exec::ExecutorConfig;
 use qsim::job::JobSpec;
-use qugen_serve::codec::Json;
 use qugen_serve::server::{Server, ServerConfig};
+use qugen_wire::Json;
 
 const BELL: &str = "import qasmlite 2.1;\nqreg q[2];\ncreg c[2];\nh q[0];\n\
                     cx q[0], q[1];\nmeasure q -> c;\n";

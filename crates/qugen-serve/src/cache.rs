@@ -4,13 +4,13 @@
 //! sound: equal keys imply bit-identical counts, so a cached result *is*
 //! the result — `cached: true` on a [`qsim::job::JobResult`] is an honest
 //! latency note, not an approximation flag. Eviction is least-recently-used
-//! over a logical access clock, the same idiom as `qsim::plan`'s plan
-//! cache.
+//! over a logical access clock: the cache is a [`qsim::lru::Lru`], the
+//! same map behind `qsim::plan`'s plan cache.
 
 use qsim::backend::BackendKind;
 use qsim::dist::Counts;
 use qsim::job::JobKey;
-use std::collections::HashMap;
+use qsim::lru::Lru;
 use std::sync::Arc;
 
 /// What the cache remembers per key: enough to build a
@@ -23,142 +23,9 @@ pub struct CachedResult {
     pub backend: BackendKind,
 }
 
-/// Cache hit/miss counters (monotonic since construction).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that fell through to execution.
-    pub misses: u64,
-}
-
-/// A fixed-capacity LRU map from [`JobKey`] to finished counts.
+/// A fixed-capacity LRU map from [`JobKey`] to finished counts, with the
+/// hit, miss and eviction counters every [`Lru`] keeps.
 ///
 /// Not internally synchronized — the server wraps it in its own mutex so
 /// lookup-then-insert sequences stay simple.
-pub struct ResultCache {
-    capacity: usize,
-    tick: u64,
-    stats: CacheStats,
-    entries: HashMap<JobKey, (u64, Arc<CachedResult>)>,
-}
-
-impl ResultCache {
-    /// A cache holding at most `capacity` results (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            stats: CacheStats::default(),
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Looks `key` up, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &JobKey) -> Option<Arc<CachedResult>> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some((last_used, result)) => {
-                *last_used = self.tick;
-                self.stats.hits += 1;
-                Some(Arc::clone(result))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts (or refreshes) `key`, evicting the least-recently-used
-    /// entry when at capacity.
-    pub fn insert(&mut self, key: JobKey, result: Arc<CachedResult>) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.entries.insert(key, (self.tick, result));
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qcir::circuit::Circuit;
-    use qsim::backend::BackendChoice;
-    use qsim::job::JobSpec;
-
-    fn key(seed: u64) -> JobKey {
-        let mut qc = Circuit::new(1, 1);
-        qc.h(0).measure(0, 0);
-        JobSpec::new(qc, 64, seed).key(BackendChoice::Auto, 0.01)
-    }
-
-    fn result() -> Arc<CachedResult> {
-        Arc::new(CachedResult {
-            counts: Counts::new(1),
-            backend: BackendKind::Dense,
-        })
-    }
-
-    #[test]
-    fn hit_returns_the_inserted_result() {
-        let mut cache = ResultCache::new(4);
-        assert!(cache.get(&key(1)).is_none());
-        cache.insert(key(1), result());
-        let hit = cache.get(&key(1)).expect("hit");
-        assert_eq!(hit.backend, BackendKind::Dense);
-        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-    }
-
-    #[test]
-    fn eviction_is_least_recently_used() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(1), result());
-        cache.insert(key(2), result());
-        // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(&key(1)).is_some());
-        cache.insert(key(3), result());
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.get(&key(2)).is_none(), "LRU entry was evicted");
-        assert!(cache.get(&key(3)).is_some());
-    }
-
-    #[test]
-    fn reinsert_refreshes_instead_of_evicting() {
-        let mut cache = ResultCache::new(2);
-        cache.insert(key(1), result());
-        cache.insert(key(2), result());
-        cache.insert(key(2), result());
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1)).is_some());
-    }
-}
+pub type ResultCache = Lru<JobKey, Arc<CachedResult>>;

@@ -6,9 +6,9 @@
 //! their handling on the code; the human-readable message can grow detail
 //! without breaking anyone.
 
-use crate::codec::{obj, Json, JsonError};
 use qcir::diag::Diagnostic;
 use qsim::backend::SimError;
+use qugen_wire::codec::{obj, Json, JsonError};
 use std::fmt;
 
 /// Why the service refused (or failed) a request.

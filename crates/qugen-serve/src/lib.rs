@@ -10,17 +10,18 @@
 //!
 //! The crate is deliberately layered so each policy is testable alone:
 //!
-//! * [`codec`] — the shared JSON wire layer, re-exported from
-//!   [`qugen_wire`] so `qugen-serve` and `qugen-shard` speak one
-//!   protocol; integers stay exact so `u64` seeds survive the wire, and
-//!   serialization is canonical so replies compare byte-for-byte.
+//! * [`qugen_wire`] (a dependency, not a module) — the JSON wire layer
+//!   `qugen-serve` and `qugen-shard` share; integers stay exact so `u64`
+//!   seeds survive the wire, and serialization is canonical so replies
+//!   compare byte-for-byte.
 //! * [`proto`] — the typed request vocabulary and wire shapes.
 //! * [`error`] — [`error::ServeError`], every refusal a client can see,
 //!   each with a stable machine-readable code.
 //! * [`queue`] — a bounded MPMC queue whose full-queue behavior is a
 //!   typed refusal, never a blocked submitter.
-//! * [`cache`] — an LRU result cache keyed by [`qsim::job::JobKey`],
-//!   sound because counts are a pure function of the key.
+//! * [`cache`] — an LRU result cache keyed by [`qsim::job::JobKey`]
+//!   (a [`qsim::lru::Lru`]), sound because counts are a pure function of
+//!   the key.
 //! * [`server`] — the service itself: job table, worker pool, lifecycle.
 //!
 //! # Determinism contract
@@ -39,10 +40,6 @@ pub mod proto;
 pub mod queue;
 pub mod server;
 
-pub use codec::Json;
 pub use error::ServeError;
-// The wire value layer moved to `qugen-wire` (shared with `qugen-shard`);
-// the `qugen_serve::codec` path keeps working for existing callers.
 pub use proto::Request;
-pub use qugen_wire::codec;
 pub use server::{Server, ServerConfig};

@@ -19,10 +19,10 @@
 //! bitstring→count object in canonical (sorted) order, so encoded replies
 //! compare byte-for-byte across clients and runs.
 
-use crate::codec::Json;
 use crate::error::ServeError;
 use qsim::backend::BackendChoice;
 use qsim::dist::Counts;
+use qugen_wire::codec::Json;
 use std::collections::BTreeMap;
 
 /// A parsed, typed client request.
@@ -163,7 +163,7 @@ fn parse_budget(value: &Json) -> Result<Option<f64>, ServeError> {
 
 /// Counts as a canonical bitstring→count JSON object.
 ///
-/// Keys sort lexicographically in the [`crate::codec::Json::Obj`] map, so
+/// Keys sort lexicographically in the [`qugen_wire::Json::Obj`] map, so
 /// the same counts always encode to the same bytes — the property the
 /// cross-checking tests and example client compare on.
 pub fn counts_to_json(counts: &Counts) -> Json {

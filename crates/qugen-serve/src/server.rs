@@ -45,15 +45,16 @@
 //! the submit and worker paths), so there is no lock-order cycle.
 
 use crate::cache::{CachedResult, ResultCache};
-use crate::codec::{obj, Json};
 use crate::error::ServeError;
 use crate::proto::{counts_to_json, Request};
 use crate::queue::BoundedQueue;
 use qsim::backend::{self, BackendKind};
 use qsim::exec::{recommended_threads, Executor, ExecutorConfig};
 use qsim::job::{JobKey, JobResult, JobSpec, JobStatus};
+use qsim::lru::lock;
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Gauge, Histogram};
 use qugen_telemetry::trace;
+use qugen_wire::codec::{obj, Json};
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -380,7 +381,7 @@ impl Server {
         // before the jobs lock below — no thread ever holds both mutexes
         // (workers insert into the cache outside the jobs lock for the
         // same reason), so there is no lock-order cycle.
-        let hit = inner.cache.lock().expect("cache lock poisoned").get(&key);
+        let hit = lock(&inner.cache).get(&key);
         let m = serve_metrics();
         if let Some(hit) = hit {
             inner.submitted.fetch_add(1, Ordering::Relaxed);
@@ -495,7 +496,7 @@ impl Server {
 
     fn stats(&self) -> Json {
         let inner = &self.inner;
-        let cache = inner.cache.lock().expect("cache lock poisoned");
+        let cache = lock(&inner.cache);
         let cache_stats = cache.stats();
         let cache_len = cache.len();
         drop(cache);
@@ -668,7 +669,7 @@ fn worker_loop(inner: &Inner) {
         // site holds at most one of the two mutexes at a time, so the
         // cache/jobs pair cannot form a lock-order cycle with `submit`.
         if let Ok(counts) = &outcome {
-            inner.cache.lock().expect("cache lock poisoned").insert(
+            lock(&inner.cache).insert(
                 key,
                 Arc::new(CachedResult {
                     counts: counts.clone(),

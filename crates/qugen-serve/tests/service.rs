@@ -10,9 +10,9 @@
 
 use qsim::exec::ExecutorConfig;
 use qsim::job::JobSpec;
-use qugen_serve::codec::Json;
 use qugen_serve::proto::counts_to_json;
 use qugen_serve::server::{Server, ServerConfig};
+use qugen_wire::Json;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

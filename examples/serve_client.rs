@@ -14,9 +14,9 @@
 
 use qugen::qsim::exec::ExecutorConfig;
 use qugen::qsim::job::JobSpec;
-use qugen::qugen_serve::codec::Json;
 use qugen::qugen_serve::proto::counts_to_json;
 use qugen::qugen_serve::server::{Server, ServerConfig};
+use qugen::qugen_wire::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

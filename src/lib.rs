@@ -14,6 +14,7 @@
 //! - [`qeval`] — evaluation suites, grader and pass@k
 //! - [`qugen_serve`] — simulation-as-a-service job daemon over the executor
 //! - [`qugen_shard`] — multi-process evaluation sharding with bit-identical merge
+//! - [`qugen_wire`] — the line-delimited JSON codec serve and shard speak
 //!
 //! # Quickstart
 //!
@@ -27,6 +28,11 @@
 //! println!("{}", report.summary());
 //! ```
 
+// The README's code blocks run as doctests, so its examples cannot rot.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use qagents;
 pub use qalgo;
 pub use qcir;
@@ -36,3 +42,4 @@ pub use qlm;
 pub use qsim;
 pub use qugen_serve;
 pub use qugen_shard;
+pub use qugen_wire;
