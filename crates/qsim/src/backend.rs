@@ -68,14 +68,16 @@ use std::str::FromStr;
 /// gigabyte past this). Mirrors the assertion in [`StateVector::zero`].
 pub const DENSE_QUBIT_CAP: usize = 26;
 
-/// Sanity cap on tableau simulation (quadratic memory in qubits; 4096
-/// qubits is a 4 MB tableau and far beyond every workload here).
+/// Sanity cap on tableau simulation. Memory is quadratic in qubits (X and
+/// Z bits for `2n` generators per qubit: 8 MiB at 4096 qubits), a gate
+/// costs `O(n/64)` word operations and a measurement `O(n²/64)`; 4096 is
+/// far beyond every workload here.
 pub const TABLEAU_QUBIT_CAP: usize = 4096;
 
 /// Under [`BackendChoice::Auto`], Clifford circuits at or below this many
-/// qubits still run densely: at small sizes the state vector fits in cache
-/// and beats the tableau's per-op row scans, and the dense engine keeps its
-/// exact-sampling fast path for noiseless end-measured circuits.
+/// qubits still run densely: at small sizes the state vector fits in cache,
+/// and the dense engine keeps its exact-sampling fast path for noiseless
+/// end-measured circuits.
 pub const AUTO_DENSE_MAX_QUBITS: usize = 12;
 
 /// Sanity cap on MPS simulation: memory is `O(n·χ²)`, so thousands of
@@ -194,7 +196,7 @@ pub enum CircuitClass {
     CliffordUnitary,
     /// Clifford gates plus measurement / reset / classically-conditioned
     /// Clifford gates. Still polynomial on the tableau (measurements are
-    /// `O(n^2)`).
+    /// `O(n²/64)`).
     CliffordDynamic,
     /// Contains at least one non-Clifford gate; only the dense engine can
     /// run it.

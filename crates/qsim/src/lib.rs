@@ -13,8 +13,9 @@
 //!   [`state::StateVector::apply_gate`]: strided base-index enumeration,
 //!   diagonal/permutation fast paths, butterfly single-qubit updates, and a
 //!   scratch-reusing general dense fallback.
-//! * [`stabilizer`] — an Aaronson–Gottesman CHP tableau simulator for
-//!   Clifford circuits, used for surface-code syndrome extraction at
+//! * [`stabilizer`] — an Aaronson–Gottesman tableau simulator for
+//!   Clifford circuits, stored column-major and bit-packed so gates are
+//!   word-parallel, used for surface-code syndrome extraction at
 //!   distances where the dense simulator is infeasible.
 //! * [`mps`] — a matrix-product-state simulator with bounded bond
 //!   dimension χ and truncated-SVD two-site updates, for low-entanglement

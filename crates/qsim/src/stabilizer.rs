@@ -1,12 +1,19 @@
-//! Aaronson–Gottesman CHP stabilizer tableau simulator.
+//! Aaronson–Gottesman stabilizer tableau simulator, stored column-major.
 //!
 //! Simulates Clifford circuits (H, S, CX and Paulis) plus computational
-//! basis measurement in `O(n^2)` per operation, which is what makes
-//! distance-5/7 surface-code syndrome extraction tractable where the dense
-//! simulator is not.
+//! basis measurement, which is what makes distance-5/7 surface-code
+//! syndrome extraction tractable where the dense simulator is not.
 //!
-//! Reference: S. Aaronson and D. Gottesman, "Improved simulation of
-//! stabilizer circuits", Phys. Rev. A 70, 052328 (2004).
+//! The tableau is qubit-major and bit-packed, after Stim: for each qubit
+//! it keeps the X bits and the Z bits of all `n` destabilizers and all `n`
+//! stabilizers as `u64` words over generators, and the generator signs are
+//! a bit-vector too. A gate touches only its qubits' columns, word-parallel
+//! across generators, so it costs `O(n/64)`; a measurement costs
+//! `O(n²/64)`.
+//!
+//! References: S. Aaronson and D. Gottesman, "Improved simulation of
+//! stabilizer circuits", Phys. Rev. A 70, 052328 (2004); C. Gidney, "Stim:
+//! a fast stabilizer circuit simulator", Quantum 5, 497 (2021).
 
 use crate::backend::SimError;
 use crate::dist::Counts;
@@ -15,36 +22,126 @@ use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
 use rand::Rng;
 
-/// Stabilizer state of `n` qubits, represented as a tableau of `2n`
-/// generators (destabilizers then stabilizers) plus one scratch row.
-#[derive(Debug, Clone, PartialEq)]
+/// Stabilizer state of `n` qubits: a tableau of `2n` generators
+/// (destabilizers `0..n`, then stabilizers `n..2n`) stored one qubit
+/// column at a time.
+///
+/// Each column holds `2 * block` words: destabilizer `i` is bit `i % 64`
+/// of word `i / 64`, and stabilizer `n + i` is the same bit of word
+/// `block + i / 64`. Because the two halves align, "stabilizer paired with
+/// destabilizer `i`" is the same bit one block further on.
+#[derive(Debug, Clone)]
 pub struct StabilizerSim {
     n: usize,
-    words: usize,
-    /// X bit-matrix: rows `0..2n+1`, columns packed into `words` u64s.
-    xs: Vec<Vec<u64>>,
-    /// Z bit-matrix.
-    zs: Vec<Vec<u64>>,
-    /// Phase bits (0 => +1, 1 => -1).
-    rs: Vec<u8>,
+    /// Words per generator half, `ceil(n / 64)`.
+    block: usize,
+    /// X bits: column `q` is `xs[q * 2 * block..][..2 * block]`.
+    xs: Vec<u64>,
+    /// Z bits, laid out like `xs`.
+    zs: Vec<u64>,
+    /// Sign bits of the generators (1 => -1), laid out like one column.
+    rs: Vec<u64>,
+    /// Measurement scratch, one column each: the generators a random
+    /// measurement multiplies by its pivot, and the low and high bits of
+    /// their mod-4 phase counters.
+    mask: Vec<u64>,
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+}
+
+/// Tableaus are equal when their generators and signs are; measurement
+/// scratch is not state.
+impl PartialEq for StabilizerSim {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.xs == other.xs && self.zs == other.zs && self.rs == other.rs
+    }
+}
+
+/// The two columns `a != b` of a qubit-major matrix with `stride` words
+/// per column, borrowed together.
+fn column_pair(v: &mut [u64], a: usize, b: usize, stride: usize) -> (&mut [u64], &mut [u64]) {
+    assert_ne!(a, b, "two-qubit gate operands must differ");
+    if a < b {
+        let (head, tail) = v.split_at_mut(b * stride);
+        (&mut head[a * stride..][..stride], &mut tail[..stride])
+    } else {
+        let (head, tail) = v.split_at_mut(a * stride);
+        (&mut tail[..stride], &mut head[b * stride..][..stride])
+    }
+}
+
+/// Sets `bit` (a one-bit mask) of `word` to `v`.
+#[inline]
+fn put(word: &mut u64, bit: u64, v: bool) {
+    *word = (*word & !bit) | if v { bit } else { 0 };
+}
+
+/// Inclusive prefix parity: bit `i` of the result is the XOR of bits
+/// `0..=i` of `v`.
+#[inline]
+fn prefix_parity(mut v: u64) -> u64 {
+    v ^= v << 1;
+    v ^= v << 2;
+    v ^= v << 4;
+    v ^= v << 8;
+    v ^= v << 16;
+    v ^= v << 32;
+    v
+}
+
+/// Multiplies the generators in `mask` by a pivot whose Pauli on this
+/// column is `(XP, ZP)` (not both false): XORs the pivot's bits into
+/// `x`/`z` and adds each product's `i`-exponent, in {-1, 0, +1}, to the
+/// bit-sliced mod-4 counters `lo`/`hi`. This is the Aaronson–Gottesman
+/// `g` function evaluated for 64 generators at once.
+#[inline]
+fn mul_column<const XP: bool, const ZP: bool>(
+    x: &mut [u64],
+    z: &mut [u64],
+    mask: &[u64],
+    lo: &mut [u64],
+    hi: &mut [u64],
+) {
+    for w in 0..mask.len() {
+        let m = mask[w];
+        if m == 0 {
+            continue;
+        }
+        let (gx, gz) = (x[w], z[w]);
+        let (plus, minus) = match (XP, ZP) {
+            (true, true) => (gz & !gx, gx & !gz),
+            (true, false) => (gz & gx, gz & !gx),
+            _ => (gx & !gz, gx & gz),
+        };
+        let (plus, minus) = (plus & m, minus & m);
+        // +1 carries out of lo where lo was set; -1 borrows where it was clear.
+        hi[w] ^= (lo[w] & plus) | (!lo[w] & minus);
+        lo[w] ^= plus | minus;
+        if XP {
+            x[w] ^= m;
+        }
+        if ZP {
+            z[w] ^= m;
+        }
+    }
 }
 
 impl StabilizerSim {
     /// The |0...0> state on `n` qubits.
     pub fn new(n: usize) -> Self {
-        let words = n.div_ceil(64);
-        let rows = 2 * n + 1;
+        let block = n.div_ceil(64);
+        let stride = 2 * block;
         let mut sim = StabilizerSim {
             n,
-            words,
-            xs: vec![vec![0u64; words]; rows],
-            zs: vec![vec![0u64; words]; rows],
-            rs: vec![0u8; rows],
+            block,
+            xs: vec![0; n * stride],
+            zs: vec![0; n * stride],
+            rs: vec![0; stride],
+            mask: vec![0; stride],
+            lo: vec![0; stride],
+            hi: vec![0; stride],
         };
-        for i in 0..n {
-            sim.set_x(i, i, true); // destabilizer i = X_i
-            sim.set_z(n + i, i, true); // stabilizer i = Z_i
-        }
+        sim.reinit();
         sim
     }
 
@@ -56,79 +153,81 @@ impl StabilizerSim {
     /// Resets the tableau to |0…0> in place, reusing the allocation (the
     /// trajectory executor calls this once per shot).
     pub fn reinit(&mut self) {
-        for row in 0..2 * self.n + 1 {
-            self.xs[row].iter_mut().for_each(|w| *w = 0);
-            self.zs[row].iter_mut().for_each(|w| *w = 0);
-            self.rs[row] = 0;
-        }
+        self.xs.fill(0);
+        self.zs.fill(0);
+        self.rs.fill(0);
+        let stride = 2 * self.block;
         for i in 0..self.n {
-            self.set_x(i, i, true);
-            self.set_z(self.n + i, i, true);
+            let bit = 1u64 << (i % 64);
+            // Destabilizer i = X_i, stabilizer i = Z_i.
+            self.xs[i * stride + i / 64] |= bit;
+            self.zs[i * stride + self.block + i / 64] |= bit;
         }
     }
 
+    /// Applies `f(x, z, r)` to every word of column `q`.
     #[inline]
-    fn x(&self, row: usize, col: usize) -> bool {
-        (self.xs[row][col / 64] >> (col % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn z(&self, row: usize, col: usize) -> bool {
-        (self.zs[row][col / 64] >> (col % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set_x(&mut self, row: usize, col: usize, v: bool) {
-        let w = col / 64;
-        let b = col % 64;
-        if v {
-            self.xs[row][w] |= 1 << b;
-        } else {
-            self.xs[row][w] &= !(1 << b);
+    fn update1(&mut self, q: usize, f: impl Fn(&mut u64, &mut u64, &mut u64)) {
+        let stride = 2 * self.block;
+        let x = &mut self.xs[q * stride..][..stride];
+        let z = &mut self.zs[q * stride..][..stride];
+        for ((x, z), r) in x.iter_mut().zip(z.iter_mut()).zip(self.rs.iter_mut()) {
+            f(x, z, r);
         }
     }
 
+    /// Applies `f(xa, za, xb, zb, r)` to every word of columns `a` and `b`.
     #[inline]
-    fn set_z(&mut self, row: usize, col: usize, v: bool) {
-        let w = col / 64;
-        let b = col % 64;
-        if v {
-            self.zs[row][w] |= 1 << b;
-        } else {
-            self.zs[row][w] &= !(1 << b);
+    fn update2(
+        &mut self,
+        a: usize,
+        b: usize,
+        f: impl Fn(&mut u64, &mut u64, &mut u64, &mut u64, &mut u64),
+    ) {
+        let stride = 2 * self.block;
+        let (xa, xb) = column_pair(&mut self.xs, a, b, stride);
+        let (za, zb) = column_pair(&mut self.zs, a, b, stride);
+        for w in 0..stride {
+            f(
+                &mut xa[w],
+                &mut za[w],
+                &mut xb[w],
+                &mut zb[w],
+                &mut self.rs[w],
+            );
         }
     }
 
     /// Hadamard on `q`.
     pub fn h(&mut self, q: usize) {
-        for row in 0..2 * self.n {
-            let x = self.x(row, q);
-            let z = self.z(row, q);
-            if x && z {
-                self.rs[row] ^= 1;
-            }
-            self.set_x(row, q, z);
-            self.set_z(row, q, x);
-        }
+        self.update1(q, |x, z, r| {
+            *r ^= *x & *z;
+            std::mem::swap(x, z);
+        });
     }
 
     /// Phase gate S on `q`.
     pub fn s(&mut self, q: usize) {
-        for row in 0..2 * self.n {
-            let x = self.x(row, q);
-            let z = self.z(row, q);
-            if x && z {
-                self.rs[row] ^= 1;
-            }
-            self.set_z(row, q, z ^ x);
-        }
+        self.update1(q, |x, z, r| {
+            *r ^= *x & *z;
+            *z ^= *x;
+        });
     }
 
-    /// S-dagger on `q` (three applications of S).
+    /// S-dagger on `q`: X → -Y, Y → X.
     pub fn sdg(&mut self, q: usize) {
-        self.s(q);
-        self.s(q);
-        self.s(q);
+        self.update1(q, |x, z, r| {
+            *r ^= *x & !*z;
+            *z ^= *x;
+        });
+    }
+
+    /// √X on `q` (= H S H up to global phase): Z → -Y, Y → Z.
+    fn sx(&mut self, q: usize) {
+        self.update1(q, |x, z, r| {
+            *r ^= *z & !*x;
+            *x ^= *z;
+        });
     }
 
     /// CNOT with control `a`, target `b`.
@@ -137,136 +236,172 @@ impl StabilizerSim {
     ///
     /// Panics when `a == b`.
     pub fn cx(&mut self, a: usize, b: usize) {
-        assert_ne!(a, b, "cx control and target must differ");
-        for row in 0..2 * self.n {
-            let xa = self.x(row, a);
-            let xb = self.x(row, b);
-            let za = self.z(row, a);
-            let zb = self.z(row, b);
-            if xa && zb && (xb == za) {
-                self.rs[row] ^= 1;
-            }
-            self.set_x(row, b, xb ^ xa);
-            self.set_z(row, a, za ^ zb);
-        }
+        self.update2(a, b, |xa, za, xb, zb, r| {
+            *r ^= *xa & *zb & !(*xb ^ *za);
+            *xb ^= *xa;
+            *za ^= *zb;
+        });
     }
 
-    /// Controlled-Z via `H(b); CX(a,b); H(b)`.
+    /// Controlled-Z (equal to `H(b); CX(a,b); H(b)`).
     pub fn cz(&mut self, a: usize, b: usize) {
-        self.h(b);
-        self.cx(a, b);
-        self.h(b);
+        self.update2(a, b, |xa, za, xb, zb, r| {
+            *r ^= *xa & *xb & (*za ^ *zb);
+            *za ^= *xb;
+            *zb ^= *xa;
+        });
     }
 
-    /// Swap via three CNOTs.
+    /// Controlled-Y with control `a`, target `b` (equal to
+    /// `Sdg(b); CX(a,b); S(b)`).
+    fn cy(&mut self, a: usize, b: usize) {
+        self.update2(a, b, |xa, za, xb, zb, r| {
+            *r ^= *xa & (*xb ^ *zb) & (*xb ^ *za);
+            *za ^= *xb ^ *zb;
+            *xb ^= *xa;
+            *zb ^= *xa;
+        });
+    }
+
+    /// Swap: exchanges the two columns (no sign changes).
     pub fn swap(&mut self, a: usize, b: usize) {
-        self.cx(a, b);
-        self.cx(b, a);
-        self.cx(a, b);
+        let stride = 2 * self.block;
+        let (xa, xb) = column_pair(&mut self.xs, a, b, stride);
+        xa.swap_with_slice(xb);
+        let (za, zb) = column_pair(&mut self.zs, a, b, stride);
+        za.swap_with_slice(zb);
     }
 
     /// Pauli-X on `q`.
     pub fn x_gate(&mut self, q: usize) {
-        for row in 0..2 * self.n {
-            if self.z(row, q) {
-                self.rs[row] ^= 1;
-            }
-        }
+        self.update1(q, |_, z, r| *r ^= *z);
     }
 
     /// Pauli-Z on `q`.
     pub fn z_gate(&mut self, q: usize) {
-        for row in 0..2 * self.n {
-            if self.x(row, q) {
-                self.rs[row] ^= 1;
-            }
-        }
+        self.update1(q, |x, _, r| *r ^= *x);
     }
 
     /// Pauli-Y on `q`.
     pub fn y_gate(&mut self, q: usize) {
-        for row in 0..2 * self.n {
-            if self.x(row, q) ^ self.z(row, q) {
-                self.rs[row] ^= 1;
-            }
-        }
-    }
-
-    /// Phase contribution g(x1,z1,x2,z2) of multiplying two Paulis,
-    /// in {-1, 0, +1} (mod 4 arithmetic over 2 bits).
-    #[inline]
-    fn g(x1: bool, z1: bool, x2: bool, z2: bool) -> i32 {
-        match (x1, z1) {
-            (false, false) => 0,
-            (true, true) => (z2 as i32) - (x2 as i32),
-            (true, false) => (z2 as i32) * (2 * (x2 as i32) - 1),
-            (false, true) => (x2 as i32) * (1 - 2 * (z2 as i32)),
-        }
-    }
-
-    /// Row `h` *= row `i` (Pauli product with phase tracking).
-    fn rowsum(&mut self, h: usize, i: usize) {
-        let mut phase = 2 * (self.rs[h] as i32) + 2 * (self.rs[i] as i32);
-        for q in 0..self.n {
-            phase += Self::g(self.x(i, q), self.z(i, q), self.x(h, q), self.z(h, q));
-        }
-        let phase = phase.rem_euclid(4);
-        debug_assert!(phase == 0 || phase == 2, "rowsum produced odd phase");
-        self.rs[h] = (phase == 2) as u8;
-        for w in 0..self.words {
-            self.xs[h][w] ^= self.xs[i][w];
-            self.zs[h][w] ^= self.zs[i][w];
-        }
+        self.update1(q, |x, z, r| *r ^= *x ^ *z);
     }
 
     /// Returns `Some(v)` when a Z-measurement of `q` is deterministic.
-    pub fn measure_determined(&mut self, q: usize) -> Option<bool> {
-        let n = self.n;
-        if (n..2 * n).any(|row| self.x(row, q)) {
+    pub fn measure_determined(&self, q: usize) -> Option<bool> {
+        let stride = 2 * self.block;
+        let xq = &self.xs[q * stride..][..stride];
+        if xq[self.block..].iter().any(|&w| w != 0) {
             return None;
         }
-        // Deterministic: accumulate into the scratch row.
-        let scratch = 2 * n;
-        self.xs[scratch].iter_mut().for_each(|w| *w = 0);
-        self.zs[scratch].iter_mut().for_each(|w| *w = 0);
-        self.rs[scratch] = 0;
-        for i in 0..n {
-            if self.x(i, q) {
-                self.rowsum(scratch, i + n);
+        Some(self.determined_outcome(q))
+    }
+
+    /// The outcome of measuring `q` when no stabilizer anticommutes with
+    /// Z_q: the sign of the product of the stabilizers paired with the
+    /// destabilizers that have X on `q`, a product equal to ±Z_q.
+    ///
+    /// Writing the product in generator order, each column contributes the
+    /// `i`-exponent `popcount(x & z) + 2·Σ_l x_l·parity(z_{<l}) − X·Z`
+    /// (mod 4), where `X`/`Z` are the parities of the column's X/Z bits:
+    /// the first term converts CHP's Y = iXZ into X·Z, the second counts
+    /// the Z-before-X swaps that bring the product into X…Z order, and the
+    /// third converts the result back. The product is ±Z_q, so every
+    /// column's `X` is 0 and the third term vanishes. Stabilizers commute,
+    /// so the order is immaterial and no scratch row is needed.
+    fn determined_outcome(&self, q: usize) -> bool {
+        let (block, stride) = (self.block, 2 * self.block);
+        let selected = &self.xs[q * stride..][..block];
+        let mut phase = 0u32;
+        let mut factors = 0u32;
+        for (w, &m) in selected.iter().enumerate() {
+            phase += 2 * (self.rs[block + w] & m).count_ones();
+            factors += m.count_ones();
+        }
+        if factors == 1 {
+            // A lone stabilizer is ±Z_q itself: its sign is the outcome.
+            return phase == 2;
+        }
+        for j in 0..self.n {
+            let x = &self.xs[j * stride + block..][..block];
+            let z = &self.zs[j * stride + block..][..block];
+            // All-ones when the selected Z bits in earlier words have odd parity.
+            let mut z_carry = 0u64;
+            for (w, &m) in selected.iter().enumerate() {
+                let (gx, gz) = (x[w] & m, z[w] & m);
+                if gx | gz == 0 {
+                    continue;
+                }
+                let z_before = (prefix_parity(gz) << 1) ^ z_carry;
+                phase += (gx & gz).count_ones() + 2 * (gx & z_before).count_ones();
+                z_carry ^= 0u64.wrapping_sub(u64::from(gz.count_ones() & 1));
             }
         }
-        Some(self.rs[scratch] == 1)
+        debug_assert!(
+            phase.is_multiple_of(2),
+            "stabilizer product has an imaginary sign"
+        );
+        phase % 4 == 2
     }
 
     /// Measures qubit `q` in the Z basis, collapsing the state.
+    ///
+    /// A random outcome draws exactly one `gen_bool(0.5)`; a deterministic
+    /// one draws nothing.
     pub fn measure(&mut self, q: usize, rng: &mut impl Rng) -> bool {
-        if let Some(v) = self.measure_determined(q) {
-            return v;
-        }
-        let n = self.n;
-        // Random outcome: find the first stabilizer anticommuting with Z_q.
-        let p = (n..2 * n)
-            .find(|&row| self.x(row, q))
-            .expect("non-deterministic measurement must have such a row");
-        // Aaronson–Gottesman step: rowsum every anticommuting row EXCEPT
-        // `p` and `p - n`. Including `p - n` is tempting (it is overwritten
-        // two lines below anyway) but wrong: its product with row `p` can
-        // carry an imaginary phase, which violates the rowsum invariant.
-        for row in 0..2 * n {
-            if row != p && row != p - n && self.x(row, q) {
-                self.rowsum(row, p);
+        let (n, block, stride) = (self.n, self.block, 2 * self.block);
+        let xq = &self.xs[q * stride..][..stride];
+        // The pivot p is the first stabilizer anticommuting with Z_q.
+        let Some(pw) = (block..stride).find(|&w| xq[w] != 0) else {
+            return self.determined_outcome(q);
+        };
+        let bit = 1u64 << xq[pw].trailing_zeros();
+        // Destabilizer p - n is the same bit one block earlier.
+        let dw = pw - block;
+        // Aaronson–Gottesman step: multiply every anticommuting generator
+        // EXCEPT p and p - n by p. Including p - n is tempting (it is
+        // overwritten below anyway) but wrong: its product with p can carry
+        // an imaginary phase.
+        self.mask.copy_from_slice(xq);
+        self.mask[pw] &= !bit;
+        self.mask[dw] &= !bit;
+        self.lo.fill(0);
+        self.hi.fill(0);
+        let pivot_sign = self.rs[pw] & bit != 0;
+        for j in 0..n {
+            let x = &mut self.xs[j * stride..][..stride];
+            let z = &mut self.zs[j * stride..][..stride];
+            let (xp, zp) = (x[pw] & bit != 0, z[pw] & bit != 0);
+            // Destabilizer p - n <- old stabilizer p; stabilizer p is
+            // cleared here and becomes ±Z_q below.
+            put(&mut x[dw], bit, xp);
+            put(&mut z[dw], bit, zp);
+            x[pw] &= !bit;
+            z[pw] &= !bit;
+            let (mask, lo, hi) = (&self.mask[..], &mut self.lo[..], &mut self.hi[..]);
+            match (xp, zp) {
+                (false, false) => {}
+                (true, true) => mul_column::<true, true>(x, z, mask, lo, hi),
+                (true, false) => mul_column::<true, false>(x, z, mask, lo, hi),
+                (false, true) => mul_column::<false, true>(x, z, mask, lo, hi),
             }
         }
-        // Destabilizer p-n <- old stabilizer p.
-        self.xs[p - n] = self.xs[p].clone();
-        self.zs[p - n] = self.zs[p].clone();
-        self.rs[p - n] = self.rs[p];
-        // New stabilizer p = +/- Z_q with random sign.
+        // Each product's sign: 2·r_g + 2·r_p + exponent, where the exponent
+        // sum is even, so the new sign bit is r_g ^ r_p ^ hi.
+        let flip = if pivot_sign { !0 } else { 0 };
+        for w in 0..stride {
+            debug_assert_eq!(
+                self.lo[w] & self.mask[w],
+                0,
+                "odd phase in generator product"
+            );
+            self.rs[w] ^= self.mask[w] & (self.hi[w] ^ flip);
+        }
+        put(&mut self.rs[dw], bit, pivot_sign);
+        // New stabilizer p = ±Z_q with a random sign.
         let outcome = rng.gen_bool(0.5);
-        self.xs[p].iter_mut().for_each(|w| *w = 0);
-        self.zs[p].iter_mut().for_each(|w| *w = 0);
-        self.set_z(p, q, true);
-        self.rs[p] = outcome as u8;
+        self.zs[q * stride + pw] |= bit;
+        put(&mut self.rs[pw], bit, outcome);
         outcome
     }
 
@@ -291,20 +426,10 @@ impl StabilizerSim {
             Gate::X => self.x_gate(qubits[0]),
             Gate::Y => self.y_gate(qubits[0]),
             Gate::Z => self.z_gate(qubits[0]),
-            // SX = H S H up to global phase (phase is unobservable here).
-            Gate::SX => {
-                self.h(qubits[0]);
-                self.s(qubits[0]);
-                self.h(qubits[0]);
-            }
+            Gate::SX => self.sx(qubits[0]),
             Gate::CX => self.cx(qubits[0], qubits[1]),
             Gate::CZ => self.cz(qubits[0], qubits[1]),
-            // CY = Sdg(t); CX; S(t).
-            Gate::CY => {
-                self.sdg(qubits[1]);
-                self.cx(qubits[0], qubits[1]);
-                self.s(qubits[1]);
-            }
+            Gate::CY => self.cy(qubits[0], qubits[1]),
             Gate::SWAP => self.swap(qubits[0], qubits[1]),
             other => panic!("gate {other} is not Clifford"),
         }
@@ -670,8 +795,9 @@ mod tests {
     #[test]
     fn measurement_preserves_phase_invariant_with_y_and_sx() {
         // Regression: Y;SX leaves the destabilizer with a sign such that
-        // rowsum-ing row p-n during measurement produced an imaginary
-        // intermediate phase (debug assert). The AG update must skip p-n.
+        // multiplying generator p-n by the pivot during measurement
+        // produced an imaginary intermediate phase (debug assert). The AG
+        // update must skip p-n.
         let mut rng = StdRng::seed_from_u64(19);
         let mut sim = StabilizerSim::new(1);
         sim.y_gate(0);

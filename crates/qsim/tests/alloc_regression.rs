@@ -1,21 +1,32 @@
-//! Regression test: gate application performs zero heap allocations after
-//! the first call, via a counting global allocator.
+//! Regression tests: the simulator hot paths perform zero heap
+//! allocations once warm, via a counting global allocator.
 //!
-//! The specialized kernels never allocate (gate classification returns
-//! matrix entries inline), and the general dense path reuses scratch
-//! buffers held by the `StateVector` once they have grown to size. This
-//! test pins both properties so a future refactor cannot quietly
-//! reintroduce a per-gate allocation on the simulator hot path.
+//! * Dense gate application: the specialized kernels never allocate (gate
+//!   classification returns matrix entries inline), and the general dense
+//!   path reuses scratch buffers held by the `StateVector` once they have
+//!   grown to size.
+//! * Tableau shots: `StabilizerSim::run_circuit_into` keeps its measurement
+//!   scratch in the tableau, so a warm distance-5 surface-code memory shot
+//!   (49 qubits, 121 measurements and resets) allocates nothing.
 //!
-//! Kept as its own integration binary (single test) so no concurrent test
-//! thread can allocate while the counter is being read.
+//! These pin the properties so a future refactor cannot quietly
+//! reintroduce a per-gate or per-measurement allocation on a simulator hot
+//! path. Kept as its own integration binary, with the tests serialized on
+//! one lock, so no other test thread allocates while a counter is read.
 
+use qcir::circuit::Op;
 use qcir::gate::Gate;
 use qcir::math::Matrix;
+use qec::SurfaceCode;
 use qsim::noise::Pauli;
+use qsim::stabilizer::StabilizerSim;
 use qsim::state::StateVector;
+use qsim::word::OutcomeWord;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Wraps the system allocator and counts allocation calls.
 struct CountingAllocator;
@@ -46,8 +57,27 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Held by each test for its whole run, so the tests never overlap.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Fewest allocations `body` made over several attempts. The harness's own
+/// runtime occasionally allocates on another thread while we measure, so
+/// take the minimum: the body is deterministic, so if ANY attempt observes
+/// zero allocations the hot path itself is allocation-free.
+fn min_allocations(mut body: impl FnMut()) -> usize {
+    let mut min_allocs = usize::MAX;
+    for _attempt in 0..8 {
+        let before = ALLOCATIONS.load(Ordering::SeqCst);
+        body();
+        let after = ALLOCATIONS.load(Ordering::SeqCst);
+        min_allocs = min_allocs.min(after - before);
+    }
+    min_allocs
+}
+
 #[test]
 fn apply_gate_allocates_nothing_after_first_call() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 10;
     let gates: Vec<(Gate, Vec<usize>)> = vec![
         (Gate::Id, vec![0]),
@@ -88,13 +118,7 @@ fn apply_gate_allocates_nothing_after_first_call() {
     sv.apply_pauli(1, Pauli::Y);
     sv.apply_pauli(2, Pauli::Z);
 
-    // The harness's own runtime occasionally allocates on another thread
-    // while we measure, so take the minimum over several attempts: the
-    // gate loop is deterministic, so if ANY attempt observes zero
-    // allocations the hot path itself is allocation-free.
-    let mut min_allocs = usize::MAX;
-    for _attempt in 0..8 {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let min_allocs = min_allocations(|| {
         for _ in 0..3 {
             for (g, qs) in &gates {
                 sv.apply_gate(*g, qs);
@@ -104,9 +128,7 @@ fn apply_gate_allocates_nothing_after_first_call() {
             sv.apply_pauli(1, Pauli::Y);
             sv.apply_pauli(2, Pauli::Z);
         }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        min_allocs = min_allocs.min(after - before);
-    }
+    });
 
     assert_eq!(
         min_allocs, 0,
@@ -114,4 +136,33 @@ fn apply_gate_allocates_nothing_after_first_call() {
     );
     // Sanity: the state is still normalized after all that churn.
     assert!((sv.norm_sqr() - 1.0).abs() < 1e-9);
+}
+
+#[test]
+fn warm_tableau_memory_shot_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = SurfaceCode::new(5).memory_circuit(2).circuit;
+    assert_eq!(circuit.num_qubits(), 49);
+    let collapses = circuit
+        .ops()
+        .iter()
+        .filter(|op| matches!(op, Op::Measure { .. } | Op::Reset { .. }))
+        .count();
+    assert_eq!(collapses, 121);
+
+    let mut sim = StabilizerSim::new(circuit.num_qubits());
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut word = OutcomeWord::zero();
+    // Warm up: the first shot may size the outcome word.
+    sim.run_circuit_into(&circuit, &mut rng, &mut word);
+
+    let min_allocs = min_allocations(|| {
+        for _ in 0..3 {
+            sim.run_circuit_into(&circuit, &mut rng, &mut word);
+        }
+    });
+    assert_eq!(
+        min_allocs, 0,
+        "a warm tableau memory shot allocated {min_allocs} time(s)"
+    );
 }

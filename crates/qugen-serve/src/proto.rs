@@ -6,7 +6,7 @@
 //!
 //! | op | fields | reply |
 //! |---|---|---|
-//! | `submit` | `source`, `shots`, `seed`, `backend?`, `budget?`, `tag?` | `{ok,job,status,cached}` |
+//! | `submit` | `source`, `shots` (1 ..= [`MAX_SHOTS`]), `seed`, `backend?`, `budget?`, `tag?` | `{ok,job,status,cached}` |
 //! | `status` | `job` | `{ok,job,status}` |
 //! | `result` | `job`, `wait?` | `{ok,job,status,counts,backend,cached,shots,clbits}` |
 //! | `stats` | — | queue/cache/worker gauges |
@@ -24,6 +24,11 @@ use qsim::backend::BackendChoice;
 use qsim::dist::Counts;
 use qugen_wire::codec::Json;
 use std::collections::BTreeMap;
+
+/// Largest `shots` a submit may ask for (2^20). A job's run time grows
+/// with its shot count, so an unbounded count would let one request pin a
+/// worker, and with it shutdown's drain, indefinitely.
+pub const MAX_SHOTS: u64 = 1 << 20;
 
 /// A parsed, typed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,6 +89,11 @@ impl Request {
                 let shots = require_u64(value, "shots")?;
                 if shots == 0 {
                     return Err(bad("`shots` must be at least 1"));
+                }
+                if shots > MAX_SHOTS {
+                    return Err(ServeError::BadRequest(format!(
+                        "`shots` must be at most {MAX_SHOTS}, got {shots}"
+                    )));
                 }
                 let seed = require_u64(value, "seed")?;
                 let backend =
@@ -223,6 +233,12 @@ mod tests {
                 "{\"op\":\"submit\",\"source\":\"s\",\"shots\":0,\"seed\":0}",
                 "`shots`",
             ),
+            // Regression: a u64::MAX shot count used to be accepted and
+            // pinned a worker forever.
+            (
+                "{\"op\":\"submit\",\"source\":\"s\",\"shots\":18446744073709551615,\"seed\":0}",
+                "`shots`",
+            ),
             (
                 "{\"op\":\"submit\",\"source\":\"s\",\"shots\":1,\"seed\":-1}",
                 "`seed`",
@@ -242,6 +258,19 @@ mod tests {
             assert_eq!(err.code(), "bad_request", "{line}");
             assert!(err.to_string().contains(needle), "{line} → {err}");
         }
+    }
+
+    #[test]
+    fn shot_cap_is_inclusive() {
+        let submit = |shots: u64| {
+            parse(&format!(
+                "{{\"op\":\"submit\",\"source\":\"s\",\"shots\":{shots},\"seed\":0}}"
+            ))
+        };
+        assert!(
+            matches!(submit(MAX_SHOTS), Ok(Request::Submit { shots, .. }) if shots == MAX_SHOTS)
+        );
+        assert_eq!(submit(MAX_SHOTS + 1).unwrap_err().code(), "bad_request");
     }
 
     #[test]
