@@ -1,15 +1,28 @@
 //! Circuit execution: shots, trajectories, conditionals, backend dispatch
-//! and multi-threaded shot batching.
+//! and multi-threaded shot scheduling.
+//!
+//! # One scheduler
+//!
+//! Every job runs on one shot scheduler. [`Executor::try_run`] and
+//! [`Executor::try_run_job`] hand it a batch of one; a pooled
+//! [`Executor::try_run_batch`] hands it every job at once. A job is first
+//! *prepared* — its backend resolved and, on the sampling fast path, its
+//! unitary prefix evolved once — and its shots are then split into
+//! [`SHOT_CHUNK`]-sized chunks. Workers drain one global `(job, chunk)`
+//! queue, build a job's simulation context lazily on their first chunk of
+//! it, and fold their counts into the job's tally when they retire. With
+//! one worker the queue drains inline on the calling thread.
 //!
 //! # Shot chunking and determinism
 //!
-//! Shots are partitioned into fixed [`SHOT_CHUNK`]-sized chunks; chunk `i`
-//! draws from its own RNG seeded with [`derive_seed`]`(seed, i)`, and the
-//! per-chunk [`Counts`] are merged by commutative outcome-wise addition.
-//! Because the partition and the seeds depend only on `(shots, seed)` —
-//! never on thread scheduling or merge order — a run with
+//! Chunk `i` of a job draws from its own RNG seeded with
+//! [`derive_seed`]`(seed, i)`, and each worker's [`Counts`] are merged by
+//! commutative outcome-wise addition. Because the partition and the seeds
+//! depend only on the job's `(shots, seed)` — never on thread scheduling,
+//! merge order, or which other jobs share the queue — a run with
 //! [`ExecutorConfig::threads`]`(n)` is bit-identical to the
-//! single-threaded run for every `n`.
+//! single-threaded run for every `n`, and a pooled job is bit-identical to
+//! running it alone.
 
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
 use crate::dist::{Counts, Distribution};
@@ -356,8 +369,6 @@ impl Executor {
     /// [`ExecutorConfig::truncation_budget`]. Classical-register width is
     /// unbounded: outcomes are multi-word.
     pub fn try_run(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        // Same two phases as the batch path, for a batch of one: the
-        // backend/fast-path dispatch rule lives in `prepare` alone.
         let task = self.prepare(
             circuit,
             shots,
@@ -365,7 +376,7 @@ impl Executor {
             self.config.backend,
             self.config.truncation_budget,
         )?;
-        self.run_task_timed(&task)
+        self.run_solo(task)
     }
 
     /// Runs one [`JobSpec`], honoring its per-job backend and truncation-
@@ -373,14 +384,7 @@ impl Executor {
     /// Equivalent to [`Executor::try_run`] when the spec carries no
     /// overrides.
     pub fn try_run_job(&self, spec: &JobSpec) -> Result<Counts, SimError> {
-        let task = self.prepare(
-            spec.circuit(),
-            spec.shots(),
-            spec.seed(),
-            spec.effective_backend(self.config.backend),
-            spec.effective_budget(self.config.truncation_budget),
-        )?;
-        self.run_task_timed(&task)
+        self.run_solo(self.prepare_job(spec)?)
     }
 
     /// Runs a batch of [`JobSpec`]s, resolving each job's backend once and
@@ -395,215 +399,46 @@ impl Executor {
     /// [`Executor::try_run_job`] on it alone, for every thread count: chunk
     /// seeds depend only on the job's own `(seed, chunk index)` and merges
     /// are commutative.
-    pub fn try_run_batch(&self, tasks: &[JobSpec]) -> Vec<Result<Counts, SimError>> {
-        if self.config.threads <= 1 || tasks.len() <= 1 {
-            return tasks.iter().map(|spec| self.try_run_job(spec)).collect();
+    pub fn try_run_batch(&self, specs: &[JobSpec]) -> Vec<Result<Counts, SimError>> {
+        if self.config.threads <= 1 || specs.len() <= 1 {
+            return specs.iter().map(|spec| self.try_run_job(spec)).collect();
         }
         // Pooled jobs share the worker pool, so per-job wall time is
         // meaningless; the batch gets one span covering prepare + execute
         // and per-job volume counters at fold time instead.
-        exec_metrics().batches.inc();
-        let _batch_span = trace::span("executor", "batch").int("jobs", tasks.len() as i128);
-        // Phase 1: resolve every backend and evolve every fast-path prefix
-        // exactly once per task. Prefix evolution is the dominant cost for
-        // sampling-path tasks (one full dense/MPS pass over the circuit),
-        // so tasks prepare on the worker pool too; each prepare is
-        // deterministic in isolation, keeping results thread-independent.
-        let prepared: Vec<Result<BatchTask, SimError>> = {
-            let slots: Vec<Mutex<Option<Result<BatchTask, SimError>>>> =
-                tasks.iter().map(|_| Mutex::new(None)).collect();
-            let next = AtomicUsize::new(0);
-            let prep_threads = self.config.threads.min(tasks.len());
-            std::thread::scope(|scope| {
-                for _ in 0..prep_threads {
-                    scope.spawn(|| loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks.len() {
-                            break;
-                        }
-                        let spec = &tasks[t];
-                        *slots[t].lock().expect("prepare slot poisoned") = Some(self.prepare(
-                            spec.circuit(),
-                            spec.shots(),
-                            spec.seed(),
-                            spec.effective_backend(self.config.backend),
-                            spec.effective_budget(self.config.truncation_budget),
-                        ));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| {
-                    slot.into_inner()
-                        .expect("prepare slot poisoned")
-                        .expect("every task index was claimed by a worker")
-                })
-                .collect()
-        };
-        // Phase 2 (parallel): one global queue of (task, chunk) items.
-        let items: Vec<(usize, usize)> = prepared
-            .iter()
-            .enumerate()
-            .filter_map(|(t, p)| p.as_ref().ok().map(|p| (t, p.shots)))
-            .flat_map(|(t, shots)| (0..shots.div_ceil(SHOT_CHUNK) as usize).map(move |c| (t, c)))
-            .collect();
-        let slots: Vec<Mutex<Option<Counts>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        let worst_truncation: Vec<Mutex<f64>> = tasks.iter().map(|_| Mutex::new(0.0)).collect();
-        // Per-task early-abort flags: once one worker's state blows the
-        // truncation budget, the whole task is doomed to return the typed
-        // error, so remaining chunks are skipped instead of burning the
-        // rest of the shot budget. Successful tasks never set their flag,
-        // keeping results bit-identical to the serial path.
-        let cancelled: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
+        let m = exec_metrics();
+        m.batches.inc();
+        let _batch_span = trace::span("executor", "batch").int("jobs", specs.len() as i128);
+        // Prefix evolution is the dominant cost of a sampling-path job (one
+        // full dense/MPS pass over the circuit), so jobs prepare on the
+        // pool too; each prepare is deterministic in isolation.
+        let slots: Vec<Mutex<Option<Result<Task, SimError>>>> =
+            specs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let threads = self.config.threads.min(items.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut states: Vec<Option<WorkerCtx>> = tasks.iter().map(|_| None).collect();
-                    let mut locals: Vec<Option<Counts>> = tasks.iter().map(|_| None).collect();
-                    loop {
-                        let w = next.fetch_add(1, Ordering::Relaxed);
-                        if w >= items.len() {
-                            break;
-                        }
-                        let (t, chunk) = items[w];
-                        if cancelled[t].load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let task = prepared[t].as_ref().expect("only Ok tasks enqueue items");
-                        let chunk_shots = (task.shots - chunk as u64 * SHOT_CHUNK).min(SHOT_CHUNK);
-                        let mut rng = StdRng::seed_from_u64(derive_seed(task.seed, chunk as u64));
-                        let counts = match &task.plan {
-                            BatchPlan::Sampling {
-                                sampler,
-                                measure_map,
-                            } => sample_chunk(
-                                task.num_clbits,
-                                chunk_shots,
-                                &mut rng,
-                                measure_map,
-                                |rng, basis| sampler.draw_into(rng, basis),
-                            ),
-                            BatchPlan::PlannedTrajectory { plan } => {
-                                let ctx = states[t].get_or_insert_with(|| {
-                                    WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
-                                });
-                                let WorkerCtx::Dense(sv) = ctx else {
-                                    unreachable!("planned tasks only build dense contexts")
-                                };
-                                plan_trajectory_chunk(
-                                    plan,
-                                    sv,
-                                    task.num_clbits,
-                                    chunk_shots,
-                                    &mut rng,
-                                )
-                            }
-                            BatchPlan::NoisyReplay { plan } => {
-                                let ctx = states[t].get_or_insert_with(|| {
-                                    WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
-                                });
-                                let WorkerCtx::Dense(sv) = ctx else {
-                                    unreachable!("replay tasks only build dense contexts")
-                                };
-                                noisy_replay_chunk(
-                                    plan,
-                                    &self.config.noise,
-                                    sv,
-                                    task.num_clbits,
-                                    chunk_shots,
-                                    &mut rng,
-                                )
-                            }
-                            BatchPlan::Trajectory { kind, circuit } => {
-                                let ctx = states[t].get_or_insert_with(|| {
-                                    WorkerCtx::Engine(
-                                        kind.build()
-                                            .init(circuit.num_qubits())
-                                            .expect("backend capacity pre-validated by resolve()"),
-                                    )
-                                });
-                                let WorkerCtx::Engine(state) = ctx else {
-                                    unreachable!("trajectory tasks only build engine contexts")
-                                };
-                                let counts = self.trajectory_chunk(
-                                    circuit,
-                                    state.as_mut(),
-                                    task.num_clbits,
-                                    chunk_shots,
-                                    &mut rng,
-                                );
-                                if state.truncation_error() > task.budget {
-                                    cancelled[t].store(true, Ordering::Relaxed);
-                                }
-                                counts
-                            }
-                        };
-                        locals[t]
-                            .get_or_insert_with(|| Counts::new(task.num_clbits))
-                            .merge(&counts);
-                    }
-                    // Retire: fold local counts and truncation high-water
-                    // marks into the shared per-task slots.
-                    for (t, local) in locals.into_iter().enumerate() {
-                        if let Some(local) = local {
-                            let mut slot = slots[t].lock().expect("batch slot poisoned");
-                            match slot.as_mut() {
-                                Some(existing) => existing.merge(&local),
-                                None => *slot = Some(local),
-                            }
-                        }
-                    }
-                    for (t, state) in states.into_iter().enumerate() {
-                        if let Some(WorkerCtx::Engine(state)) = state {
-                            let mut w = worst_truncation[t]
-                                .lock()
-                                .expect("truncation slot poisoned");
-                            *w = w.max(state.truncation_error());
-                        }
-                    }
-                });
-            }
+        on_workers(self.config.threads.min(specs.len()), || loop {
+            let t = next.fetch_add(1, Ordering::Relaxed);
+            let Some(spec) = specs.get(t) else { break };
+            *lock(&slots[t]) = Some(self.prepare_job(spec));
         });
-        prepared
-            .into_iter()
-            .enumerate()
-            .map(|(t, p)| {
-                let m = exec_metrics();
-                m.jobs.inc();
-                let result = (|| {
-                    let task = p?;
-                    m.shots.add(task.shots);
-                    m.chunks.add(task.shots.div_ceil(SHOT_CHUNK));
-                    if let BatchPlan::Trajectory {
-                        kind: BackendKind::Mps { max_bond },
-                        ..
-                    } = task.plan
-                    {
-                        let worst = *worst_truncation[t]
-                            .lock()
-                            .expect("truncation slot poisoned");
-                        check_truncation(task.budget, max_bond, worst)?;
-                    }
-                    let counts = slots[t]
-                        .lock()
-                        .expect("batch slot poisoned")
-                        .take()
-                        .unwrap_or_else(|| Counts::new(task.num_clbits));
-                    Ok(counts)
-                })();
-                if result.is_err() {
-                    m.job_failures.inc();
-                }
-                result
-            })
-            .collect()
+        let tasks: Vec<Result<Task, SimError>> = slots
+            .iter()
+            .map(|slot| lock(slot).take().expect("every job was prepared"))
+            .collect();
+        for task in &tasks {
+            m.jobs.inc();
+            if let Ok(task) = task {
+                m.shots.add(task.shots);
+                m.chunks.add(task.shots.div_ceil(SHOT_CHUNK));
+            }
+        }
+        let results = self.schedule(tasks);
+        m.job_failures
+            .add(results.iter().filter(|result| result.is_err()).count() as u64);
+        results
     }
 
-    /// Resolves one batch task's backend and evolves its fast-path prefix.
-    /// `choice` and `budget` are the task's *effective* backend choice and
+    /// Resolves one job's backend and evolves its fast-path prefix.
+    /// `choice` and `budget` are the job's *effective* backend choice and
     /// truncation budget (per-job overrides already folded in).
     fn prepare<'c>(
         &self,
@@ -612,15 +447,15 @@ impl Executor {
         seed: u64,
         choice: BackendChoice,
         budget: f64,
-    ) -> Result<BatchTask<'c>, SimError> {
+    ) -> Result<Task<'c>, SimError> {
         let kind = backend::resolve(choice, circuit)?;
         let sampling_ok = !self.config.noise.is_noisy() && measures_only_at_end(circuit);
-        let plan = match kind {
+        let source = match kind {
             BackendKind::Dense if sampling_ok => {
                 let plan = self.plan_for(circuit);
                 let mut sv = StateVector::zero(circuit.num_qubits());
                 plan.apply_unitary(&mut sv);
-                BatchPlan::Sampling {
+                ShotSource::Sampling {
                     sampler: Sampler::Dense(sv),
                     measure_map: plan.measure_map().to_vec(),
                 }
@@ -628,34 +463,33 @@ impl Executor {
             // Noiseless dense circuits with mid-circuit measurement,
             // conditionals or resets: per-shot trajectories, but driven by
             // the cached fused plan instead of per-gate classification.
-            BackendKind::Dense if !self.config.noise.is_noisy() => BatchPlan::PlannedTrajectory {
+            BackendKind::Dense if !self.config.noise.is_noisy() => ShotSource::PlannedTrajectory {
                 plan: self.plan_for(circuit),
             },
-            // Noisy dense circuits: gate kernels are precompiled once into
-            // segments split at the live noise attachment sites and
-            // replayed per shot — bit-identical (state, clbits, RNG
-            // stream) to per-gate dispatch, minus the per-shot
-            // classification cost. Fusion would reassociate the noise
-            // channels, so this path precompiles dispatch, not algebra.
-            BackendKind::Dense => BatchPlan::NoisyReplay {
+            // Noisy dense circuits: gates are lowered once into segments
+            // split at the live noise attachment sites and replayed per
+            // shot — bit-identical (state, clbits, RNG stream) to per-gate
+            // dispatch, minus the per-shot classification cost. Fusion
+            // would reassociate the noise channels, so this path
+            // precompiles dispatch, not algebra.
+            BackendKind::Dense => ShotSource::NoisyReplay {
                 plan: self.noisy_plan_for(circuit),
             },
             // Basis words are multi-word `OutcomeWord`s, so measure-at-end
             // MPS circuits keep the O(n·χ²)-per-shot sampling fast path at
-            // any width (the old sampler packed a `u64` and fell back to
-            // per-shot trajectory replay past 64 qubits).
+            // any width.
             BackendKind::Mps { max_bond } if sampling_ok => {
                 let (state, measure_map) = evolve_mps_prefix(circuit, max_bond);
                 check_truncation(budget, max_bond, state.truncation_error())?;
-                BatchPlan::Sampling {
+                ShotSource::Sampling {
                     sampler: Sampler::Mps(state.into_sampler()),
                     measure_map,
                 }
             }
-            _ => BatchPlan::Trajectory { kind, circuit },
+            _ => ShotSource::Trajectory { circuit },
         };
-        Ok(BatchTask {
-            plan,
+        Ok(Task {
+            source,
             kind,
             num_clbits: circuit.num_clbits(),
             shots,
@@ -664,87 +498,44 @@ impl Executor {
         })
     }
 
-    /// Executes one prepared task through its plan (the single-task twin
-    /// of the batch worker loop; both paths share the chunk partition and
-    /// seeding, so their counts are bit-identical).
-    fn run_task(&self, task: &BatchTask) -> Result<Counts, SimError> {
-        match &task.plan {
-            BatchPlan::Sampling {
-                sampler,
-                measure_map,
-            } => Ok(self.chunked_counts(
-                task.num_clbits,
-                task.shots,
-                task.seed,
-                || (),
-                |(), chunk_shots, rng| {
-                    sample_chunk(
-                        task.num_clbits,
-                        chunk_shots,
-                        rng,
-                        measure_map,
-                        |rng, basis| sampler.draw_into(rng, basis),
-                    )
-                },
-                |()| {},
-                &AtomicBool::new(false),
-            )),
-            BatchPlan::PlannedTrajectory { plan } => Ok(self.chunked_counts(
-                task.num_clbits,
-                task.shots,
-                task.seed,
-                || StateVector::zero(plan.num_qubits()),
-                |sv, chunk_shots, rng| {
-                    plan_trajectory_chunk(plan, sv, task.num_clbits, chunk_shots, rng)
-                },
-                |_| {},
-                &AtomicBool::new(false),
-            )),
-            BatchPlan::NoisyReplay { plan } => Ok(self.chunked_counts(
-                task.num_clbits,
-                task.shots,
-                task.seed,
-                || StateVector::zero(plan.num_qubits()),
-                |sv, chunk_shots, rng| {
-                    noisy_replay_chunk(
-                        plan,
-                        &self.config.noise,
-                        sv,
-                        task.num_clbits,
-                        chunk_shots,
-                        rng,
-                    )
-                },
-                |_| {},
-                &AtomicBool::new(false),
-            )),
-            BatchPlan::Trajectory { kind, circuit } => {
-                self.run_trajectories(*kind, circuit, task.shots, task.seed, task.budget)
-            }
-        }
+    /// [`Executor::prepare`] with a spec's effective backend and budget.
+    fn prepare_job<'c>(&self, spec: &'c JobSpec) -> Result<Task<'c>, SimError> {
+        self.prepare(
+            spec.circuit(),
+            spec.shots(),
+            spec.seed(),
+            spec.effective_backend(self.config.backend),
+            spec.effective_budget(self.config.truncation_budget),
+        )
     }
 
-    /// [`Executor::run_task`] wrapped in telemetry: per-job wall time into
-    /// the backend's `exec.job_us.*` histogram, shot/chunk volume, and one
-    /// `executor`-layer trace span. With metrics and tracing both off this
-    /// is two relaxed atomic loads and a tail call — no clock read.
-    fn run_task_timed(&self, task: &BatchTask) -> Result<Counts, SimError> {
+    /// Runs one prepared job as a batch of one, with telemetry: wall time
+    /// into the backend's `exec.job_us.*` histogram, shot/chunk volume, and
+    /// one `executor/job` trace span. With metrics and tracing both off
+    /// this is two relaxed atomic loads and a tail call — no clock read.
+    fn run_solo(&self, task: Task) -> Result<Counts, SimError> {
+        let run = |task| {
+            self.schedule(vec![Ok(task)])
+                .pop()
+                .expect("one job in, one result out")
+        };
         if !tmetrics::enabled() && !trace::enabled() {
-            return self.run_task(task);
+            return run(task);
         }
-        let chunks = task.shots.div_ceil(SHOT_CHUNK);
+        let (kind, shots) = (task.kind, task.shots);
+        let chunks = shots.div_ceil(SHOT_CHUNK);
         let span = trace::span("executor", "job")
-            .label("backend", task.kind.name())
-            .int("shots", task.shots as i128)
+            .label("backend", kind.name())
+            .int("shots", shots as i128)
             .int("chunks", chunks as i128);
         let start = Instant::now();
-        let result = self.run_task(task);
+        let result = run(task);
         let dur_us = start.elapsed().as_micros() as u64;
         let m = exec_metrics();
         m.jobs.inc();
-        m.shots.add(task.shots);
+        m.shots.add(shots);
         m.chunks.add(chunks);
-        m.job_us(task.kind).record(dur_us);
+        m.job_us(kind).record(dur_us);
         if result.is_err() {
             m.job_failures.inc();
         }
@@ -752,161 +543,122 @@ impl Executor {
         result
     }
 
-    /// Monte-Carlo path: one trajectory per shot on the resolved backend.
+    /// The shot scheduler every job runs on. All prepared jobs' chunks go
+    /// into one global `(job, chunk)` queue that up to
+    /// [`ExecutorConfig::threads`] workers drain (inline when one worker
+    /// suffices). A worker builds its simulation context for a job lazily,
+    /// on its first chunk of that job, and keeps counts per job locally;
+    /// when the queue is empty it retires, folding its counts and MPS
+    /// truncation high-water marks into the job's tally. Jobs that failed
+    /// to prepare pass through as their error.
     ///
-    /// When a worker's state blows the MPS truncation budget mid-run the
-    /// shared cancel flag aborts the remaining chunks: the run is already
-    /// doomed to the typed error, so finishing the shot budget would only
-    /// burn `~shots×` the cost for the same refusal. Runs within budget
-    /// never set the flag and stay bit-identical for every thread count.
-    fn run_trajectories(
-        &self,
-        kind: BackendKind,
-        circuit: &Circuit,
-        shots: u64,
-        seed: u64,
-        budget: f64,
-    ) -> Result<Counts, SimError> {
-        let engine = kind.build();
-        let engine = &engine;
-        let worst_truncation = Mutex::new(0.0f64);
-        let cancel = AtomicBool::new(false);
-        let counts = self.chunked_counts(
-            circuit.num_clbits(),
-            shots,
-            seed,
-            || {
-                engine
-                    .init(circuit.num_qubits())
-                    .expect("backend capacity pre-validated by resolve()")
-            },
-            |state, chunk_shots, rng| {
-                let counts = self.trajectory_chunk(
-                    circuit,
-                    state.as_mut(),
-                    circuit.num_clbits(),
-                    chunk_shots,
-                    rng,
-                );
-                if state.truncation_error() > budget {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-                counts
-            },
-            |state| {
-                let e = state.truncation_error();
-                let mut w = worst_truncation.lock().expect("truncation slot poisoned");
-                *w = w.max(e);
-            },
-            &cancel,
-        );
-        if let BackendKind::Mps { max_bond } = kind {
-            let worst = worst_truncation
-                .into_inner()
-                .expect("truncation slot poisoned");
-            check_truncation(budget, max_bond, worst)?;
-        }
-        Ok(counts)
-    }
-
-    /// One chunk of Monte-Carlo trajectories on a reusable state; the
-    /// outcome scratch word is reused across the chunk's shots, so ≤ 64-bit
-    /// registers record without heap allocation.
-    fn trajectory_chunk(
-        &self,
-        circuit: &Circuit,
-        state: &mut dyn BackendState,
-        num_clbits: usize,
-        chunk_shots: u64,
-        rng: &mut StdRng,
-    ) -> Counts {
-        let mut counts = Counts::new(num_clbits);
-        let mut word = OutcomeWord::zero();
-        for _ in 0..chunk_shots {
-            self.trajectory(circuit, state, rng, &mut word);
-            counts.record_word(&word);
-        }
-        counts
-    }
-
-    /// Partitions `shots` into [`SHOT_CHUNK`]-sized chunks and runs them on
-    /// up to `self.threads` workers. `make_ctx` builds one reusable
-    /// per-worker context (e.g. a simulator state), `run_chunk` executes one
-    /// chunk with a chunk-seeded RNG, and `retire` observes each context
-    /// after its worker finishes (so callers can fold per-state metadata
-    /// like the MPS truncation ledger).
-    ///
-    /// Each chunk's RNG depends only on `(seed, chunk index)` and
-    /// [`Counts::merge`] is commutative outcome-wise addition, so workers
-    /// accumulate locally and the final merge order does not matter — the
-    /// result is bit-identical to the serial loop with only `threads` (not
-    /// `num_chunks`) counts tables alive.
-    ///
-    /// `cancel` is an early-abort flag: once set (by a `run_chunk` closure
-    /// that has concluded the run cannot succeed, e.g. an exceeded MPS
-    /// truncation budget), remaining chunks are skipped. The returned
-    /// counts are then partial, which is fine because the caller turns a
-    /// set flag into an error and discards them; runs that never set the
-    /// flag are unaffected.
-    #[allow(clippy::too_many_arguments)]
-    fn chunked_counts<C, M, F, R>(
-        &self,
-        num_clbits: usize,
-        shots: u64,
-        seed: u64,
-        make_ctx: M,
-        run_chunk: F,
-        retire: R,
-        cancel: &AtomicBool,
-    ) -> Counts
-    where
-        M: Fn() -> C + Sync,
-        F: Fn(&mut C, u64, &mut StdRng) -> Counts + Sync,
-        R: Fn(C) + Sync,
-    {
-        let num_chunks = shots.div_ceil(SHOT_CHUNK) as usize;
-        let chunk_shots = |i: usize| (shots - i as u64 * SHOT_CHUNK).min(SHOT_CHUNK);
-        let mut merged = Counts::new(num_clbits);
-        let threads = self.config.threads.min(num_chunks);
-        if threads <= 1 {
-            let mut ctx = make_ctx();
-            for i in 0..num_chunks {
-                if cancel.load(Ordering::Relaxed) {
-                    break;
-                }
-                let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                merged.merge(&run_chunk(&mut ctx, chunk_shots(i), &mut rng));
-            }
-            retire(ctx);
-            return merged;
-        }
+    /// Each job has an early-abort flag: once a worker's state blows the
+    /// job's truncation budget, the job is doomed to the typed error, so
+    /// its remaining chunks are skipped instead of burning the rest of the
+    /// shot budget. Jobs within budget never set their flag, keeping
+    /// results bit-identical for every thread count.
+    fn schedule(&self, tasks: Vec<Result<Task, SimError>>) -> Vec<Result<Counts, SimError>> {
+        let items: Vec<(usize, u64)> = tasks
+            .iter()
+            .enumerate()
+            .filter_map(|(t, task)| Some((t, task.as_ref().ok()?.shots.div_ceil(SHOT_CHUNK))))
+            .flat_map(|(t, chunks)| (0..chunks).map(move |c| (t, c)))
+            .collect();
+        let tallies: Vec<Mutex<Tally>> = tasks.iter().map(|_| Mutex::default()).collect();
+        let cancelled: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
         let next = AtomicUsize::new(0);
-        let partials: Mutex<Vec<Counts>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut ctx = make_ctx();
-                    let mut local = Counts::new(num_clbits);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= num_chunks || cancel.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let mut rng = StdRng::seed_from_u64(derive_seed(seed, i as u64));
-                        local.merge(&run_chunk(&mut ctx, chunk_shots(i), &mut rng));
+        on_workers(self.config.threads.min(items.len()), || {
+            let mut local: Vec<Option<(WorkerCtx, Counts)>> = tasks.iter().map(|_| None).collect();
+            while let Some(&(t, chunk)) = items.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let Ok(task) = &tasks[t] else {
+                    unreachable!("only prepared jobs enqueue chunks")
+                };
+                if cancelled[t].load(Ordering::Relaxed) {
+                    continue;
+                }
+                let (ctx, counts) = local[t]
+                    .get_or_insert_with(|| (task.worker_ctx(), Counts::new(task.num_clbits)));
+                self.run_chunk(task, ctx, chunk, counts);
+                if ctx.truncation_error() > task.budget {
+                    cancelled[t].store(true, Ordering::Relaxed);
+                }
+            }
+            for (tally, slot) in tallies.iter().zip(local) {
+                if let Some((ctx, counts)) = slot {
+                    let mut tally = lock(tally);
+                    tally.worst_truncation = tally.worst_truncation.max(ctx.truncation_error());
+                    match &mut tally.counts {
+                        Some(total) => total.merge(&counts),
+                        None => tally.counts = Some(counts),
                     }
-                    retire(ctx);
-                    partials
-                        .lock()
-                        .expect("partial counts poisoned")
-                        .push(local);
-                });
+                }
             }
         });
-        for partial in partials.into_inner().expect("partial counts poisoned") {
-            merged.merge(&partial);
+        tasks
+            .into_iter()
+            .zip(&tallies)
+            .map(|(task, tally)| {
+                let task = task?;
+                let tally = std::mem::take(&mut *lock(tally));
+                if let (ShotSource::Trajectory { .. }, BackendKind::Mps { max_bond }) =
+                    (&task.source, task.kind)
+                {
+                    check_truncation(task.budget, max_bond, tally.worst_truncation)?;
+                }
+                Ok(tally.counts.unwrap_or_else(|| Counts::new(task.num_clbits)))
+            })
+            .collect()
+    }
+
+    /// Runs chunk `chunk` of `task` on a worker's context with the chunk's
+    /// derived RNG, recording every shot into `counts`. This holds the
+    /// executor's one per-shot loop; it is generic over the shot so the
+    /// shot source is matched once per chunk rather than once per shot.
+    /// The outcome scratch words are reused across the chunk, so ≤ 64-bit
+    /// registers record without heap allocation.
+    fn run_chunk(&self, task: &Task, ctx: &mut WorkerCtx, chunk: u64, counts: &mut Counts) {
+        fn record(
+            shots: u64,
+            rng: &mut StdRng,
+            counts: &mut Counts,
+            mut shot: impl FnMut(&mut StdRng, &mut OutcomeWord),
+        ) {
+            let mut word = OutcomeWord::zero();
+            for _ in 0..shots {
+                shot(rng, &mut word);
+                counts.record_word(&word);
+            }
         }
-        merged
+        let shots = (task.shots - chunk * SHOT_CHUNK).min(SHOT_CHUNK);
+        let rng = &mut StdRng::seed_from_u64(derive_seed(task.seed, chunk));
+        match (&task.source, ctx) {
+            (
+                ShotSource::Sampling {
+                    sampler,
+                    measure_map,
+                },
+                WorkerCtx::Basis(basis),
+            ) => record(shots, rng, counts, |rng, word| {
+                sampler.draw_into(rng, basis);
+                pack_clbits(basis, measure_map, word);
+            }),
+            (ShotSource::PlannedTrajectory { plan }, WorkerCtx::Dense(sv)) => {
+                record(shots, rng, counts, |rng, word| {
+                    plan.run_trajectory(sv, rng, word);
+                });
+            }
+            (ShotSource::NoisyReplay { plan }, WorkerCtx::Dense(sv)) => {
+                record(shots, rng, counts, |rng, word| {
+                    plan.run_trajectory(sv, &self.config.noise, rng, word);
+                });
+            }
+            (ShotSource::Trajectory { circuit }, WorkerCtx::Engine(state)) => {
+                record(shots, rng, counts, |rng, word| {
+                    self.trajectory(circuit, state.as_mut(), rng, word);
+                });
+            }
+            _ => unreachable!("worker contexts are built for their job's shot source"),
+        }
     }
 
     /// One full Monte-Carlo trajectory, writing the classical outcome into
@@ -1004,17 +756,13 @@ impl Executor {
             let mut sv = StateVector::zero(circuit.num_qubits());
             plan.apply_unitary(&mut sv);
             let mut dist = Distribution::new(circuit.num_clbits());
-            let mut word = OutcomeWord::zero();
+            let (mut basis_word, mut word) = (OutcomeWord::zero(), OutcomeWord::zero());
             for (basis, p) in sv.probabilities().into_iter().enumerate() {
                 if p <= 1e-15 {
                     continue;
                 }
-                word.clear();
-                for &(q, c) in plan.measure_map() {
-                    if (basis >> q) & 1 == 1 {
-                        word.set_bit(c, true);
-                    }
-                }
+                basis_word.assign_u64(basis as u64);
+                pack_clbits(&basis_word, plan.measure_map(), &mut word);
                 let existing = dist.get_word(&word);
                 dist.set(word.clone(), existing + p);
             }
@@ -1064,27 +812,24 @@ impl Executor {
     }
 }
 
-/// One prepared batch task: how its chunks execute.
-enum BatchPlan<'c> {
+/// How a prepared job's shots are produced.
+enum ShotSource<'c> {
     /// Sampling fast path: the unitary prefix evolved once, shared
-    /// read-only; chunks draw whole basis words from the [`Sampler`].
+    /// read-only; shots draw whole basis words from the [`Sampler`].
     Sampling {
         sampler: Sampler,
         measure_map: Vec<(usize, usize)>,
     },
     /// Monte-Carlo path on a compiled plan: noiseless dense circuits with
-    /// mid-circuit measurement/conditionals/resets. Each worker lazily
-    /// builds its own state vector; the plan itself is shared read-only.
+    /// mid-circuit measurement/conditionals/resets.
     PlannedTrajectory { plan: Arc<CircuitPlan> },
     /// Monte-Carlo path on a noisy replay plan: dense circuits under a
-    /// noisy model replay precompiled kernel segments between noise
-    /// insertion points, bit-identical to per-gate dispatch.
+    /// noisy model replay lowered ops between noise insertion points,
+    /// bit-identical to per-gate dispatch.
     NoisyReplay { plan: Arc<NoisyPlan> },
-    /// Monte-Carlo path: each worker lazily builds its own state per task.
-    Trajectory {
-        kind: BackendKind,
-        circuit: &'c Circuit,
-    },
+    /// Monte-Carlo path through [`Executor::trajectory`] on the resolved
+    /// backend engine.
+    Trajectory { circuit: &'c Circuit },
 }
 
 /// A frozen measure-at-end prefix both sampling engines draw shots from —
@@ -1107,9 +852,9 @@ impl Sampler {
     }
 }
 
-/// A batch task with its execution plan and shot bookkeeping.
-struct BatchTask<'c> {
-    plan: BatchPlan<'c>,
+/// A prepared job: its shot source and shot bookkeeping.
+struct Task<'c> {
+    source: ShotSource<'c>,
     /// The resolved backend (telemetry keys per-job wall time by it).
     kind: BackendKind,
     num_clbits: usize,
@@ -1118,6 +863,67 @@ struct BatchTask<'c> {
     /// Effective MPS truncation budget (per-job override or executor
     /// default, folded in at `prepare` time).
     budget: f64,
+}
+
+impl Task<'_> {
+    /// A fresh per-worker context for this job (its plans themselves are
+    /// shared read-only).
+    fn worker_ctx(&self) -> WorkerCtx {
+        match &self.source {
+            ShotSource::Sampling { .. } => WorkerCtx::Basis(OutcomeWord::zero()),
+            ShotSource::PlannedTrajectory { plan } => {
+                WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
+            }
+            ShotSource::NoisyReplay { plan } => {
+                WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
+            }
+            ShotSource::Trajectory { circuit } => WorkerCtx::Engine(
+                self.kind
+                    .build()
+                    .init(circuit.num_qubits())
+                    .expect("backend capacity pre-validated by resolve()"),
+            ),
+        }
+    }
+}
+
+/// What a job's workers have folded in when they retire.
+#[derive(Default)]
+struct Tally {
+    counts: Option<Counts>,
+    /// Worst truncation error any worker's state reached.
+    worst_truncation: f64,
+}
+
+/// A worker's reusable simulation context for one job: the basis scratch
+/// word of a sampler, a bare state vector for plan-driven trajectories, or
+/// a boxed backend engine for unfused ones.
+enum WorkerCtx {
+    Basis(OutcomeWord),
+    Dense(StateVector),
+    Engine(Box<dyn BackendState>),
+}
+
+impl WorkerCtx {
+    fn truncation_error(&self) -> f64 {
+        match self {
+            WorkerCtx::Engine(state) => state.truncation_error(),
+            _ => 0.0,
+        }
+    }
+}
+
+/// Runs `work` on `threads` scoped workers, or inline on the calling
+/// thread — spawning nothing — when `threads <= 1`.
+fn on_workers(threads: usize, work: impl Fn() + Sync) {
+    if threads <= 1 {
+        return work();
+    }
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(&work);
+        }
+    });
 }
 
 /// The truncation budget check MPS runs pass through: `error_bound` is the
@@ -1142,54 +948,6 @@ fn check_truncation(budget: f64, max_bond: usize, error_bound: f64) -> Result<()
     }
 }
 
-/// Per-worker reusable simulation context in the batch loop: a boxed
-/// backend engine for unfused trajectories, or a bare state vector for
-/// plan-driven ones.
-enum WorkerCtx {
-    Engine(Box<dyn BackendState>),
-    Dense(StateVector),
-}
-
-/// One chunk of plan-driven noiseless trajectories on a reusable state
-/// vector; the outcome scratch word is reused across the chunk's shots, so
-/// ≤ 64-bit registers record without heap allocation.
-fn plan_trajectory_chunk(
-    plan: &CircuitPlan,
-    sv: &mut StateVector,
-    num_clbits: usize,
-    chunk_shots: u64,
-    rng: &mut StdRng,
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
-    let mut word = OutcomeWord::zero();
-    for _ in 0..chunk_shots {
-        plan.run_trajectory(sv, rng, &mut word);
-        counts.record_word(&word);
-    }
-    counts
-}
-
-/// One chunk of noisy replay trajectories on a reusable state vector: the
-/// precompiled twin of the per-gate `trajectory_chunk`, sharing its RNG
-/// consumption order exactly (see [`crate::replay`] for the bit-identity
-/// contract).
-fn noisy_replay_chunk(
-    plan: &NoisyPlan,
-    noise: &NoiseModel,
-    sv: &mut StateVector,
-    num_clbits: usize,
-    chunk_shots: u64,
-    rng: &mut StdRng,
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
-    let mut word = OutcomeWord::zero();
-    for _ in 0..chunk_shots {
-        plan.run_trajectory(sv, noise, rng, &mut word);
-        counts.record_word(&word);
-    }
-    counts
-}
-
 /// Evolves a measure-at-end circuit's unitary prefix on the MPS engine.
 fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usize, usize)>) {
     let mut state = MpsState::new(circuit.num_qubits(), max_bond);
@@ -1205,30 +963,16 @@ fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usiz
     (state, measure_map)
 }
 
-/// Draws one chunk of basis words from `draw` and packs them into classical
-/// outcome words through the measurement map. Both scratch words are reused
-/// across the chunk's shots, keeping ≤ 64-bit registers allocation-free.
-fn sample_chunk(
-    num_clbits: usize,
-    chunk_shots: u64,
-    rng: &mut StdRng,
-    measure_map: &[(usize, usize)],
-    draw: impl Fn(&mut StdRng, &mut OutcomeWord),
-) -> Counts {
-    let mut counts = Counts::new(num_clbits);
-    let mut basis = OutcomeWord::zero();
-    let mut word = OutcomeWord::zero();
-    for _ in 0..chunk_shots {
-        draw(rng, &mut basis);
-        word.clear();
-        for &(q, c) in measure_map {
-            if basis.bit(q) {
-                word.set_bit(c, true);
-            }
+/// Packs a basis state (bit `q` = qubit `q`) into the classical word
+/// through a measurement map of `(qubit, clbit)` pairs: the one
+/// basis-to-clbit routine the sampler and the exact distribution share.
+fn pack_clbits(basis: &OutcomeWord, measure_map: &[(usize, usize)], word: &mut OutcomeWord) {
+    word.clear();
+    for &(q, c) in measure_map {
+        if basis.bit(q) {
+            word.set_bit(c, true);
         }
-        counts.record_word(&word);
     }
-    counts
 }
 
 /// `true` when the circuit has no conditionals/resets and every measurement

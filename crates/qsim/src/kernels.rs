@@ -872,14 +872,19 @@ mod simd {
     pub unsafe fn dense2_tiles_avx(amps: &mut [C64], t: usize, m: &[C64; 16]) {
         // col_lo[l] packs rows 0 and 1 of column l; col_hi[l] rows 2 and 3.
         // The pair-swapped copies feed the imaginary half of each product.
+        // The swaps are computed in this body, not in closures: a closure
+        // does not inherit the target features, so whether its intrinsic
+        // inlines would hinge on codegen-unit partitioning.
         let mut col_lo = [_mm256_setzero_pd(); 4];
         let mut col_hi = [_mm256_setzero_pd(); 4];
+        let mut col_lo_s = [_mm256_setzero_pd(); 4];
+        let mut col_hi_s = [_mm256_setzero_pd(); 4];
         for l in 0..4 {
             col_lo[l] = _mm256_setr_pd(m[l].re, m[l].im, m[4 + l].re, m[4 + l].im);
             col_hi[l] = _mm256_setr_pd(m[8 + l].re, m[8 + l].im, m[12 + l].re, m[12 + l].im);
+            col_lo_s[l] = _mm256_permute_pd(col_lo[l], 0b0101);
+            col_hi_s[l] = _mm256_permute_pd(col_hi[l], 0b0101);
         }
-        let col_lo_s = col_lo.map(|v| _mm256_permute_pd(v, 0b0101));
-        let col_hi_s = col_hi.map(|v| _mm256_permute_pd(v, 0b0101));
         for block in amps.chunks_exact_mut(t << 1) {
             let (lo_half, hi_half) = block.split_at_mut(t);
             for (l_pair, h_pair) in lo_half.chunks_exact_mut(2).zip(hi_half.chunks_exact_mut(2)) {
@@ -1114,7 +1119,10 @@ mod simd {
         let s1 = 1usize << q1;
         let s2 = 1usize << q2;
         // col[v][k] packs rows 2v and 2v+1 of column k.
+        // Swapped copies computed inline, not in closures (see
+        // `dense2_tiles_avx`).
         let mut col = [[_mm256_setzero_pd(); 8]; 4];
+        let mut col_s = [[_mm256_setzero_pd(); 8]; 4];
         for v in 0..4 {
             for k in 0..8 {
                 col[v][k] = _mm256_setr_pd(
@@ -1123,9 +1131,9 @@ mod simd {
                     m[(2 * v + 1) * 8 + k].re,
                     m[(2 * v + 1) * 8 + k].im,
                 );
+                col_s[v][k] = _mm256_permute_pd(col[v][k], 0b0101);
             }
         }
-        let col_s = col.map(|row| row.map(|v| _mm256_permute_pd(v, 0b0101)));
         let offs = [0usize, s1, s2, s2 | s1];
         let ptr = amps.as_mut_ptr();
         for c in 0..amps.len() >> 3 {

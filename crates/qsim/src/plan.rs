@@ -1,9 +1,14 @@
 //! Compiled circuit plans: lower a [`Circuit`] once, execute it many times.
 //!
-//! PR 2's kernel layer dispatches gate-by-gate off [`Gate::kind`] at apply
-//! time — re-deriving trig-heavy matrix entries and kernel selection on
-//! every shot, every trajectory, and every repeat of the grader's
-//! candidate/reference runs. This module adds the missing compile step:
+//! [`lower`] is the per-gate dispatch of the whole simulator: it maps one
+//! gate, via [`Gate::kind`], to the single [`PlannedOp`] whose
+//! [`PlannedOp::apply`] runs its dense kernel. [`StateVector::apply_gate`]
+//! calls it per gate, [`crate::replay`] precompiles noisy trajectories
+//! with it, and the fusion pass below uses it for the gates it cannot
+//! fuse. Calling it per gate re-derives trig-heavy matrix entries and
+//! kernel selection on every shot, every trajectory, and every repeat of
+//! the grader's candidate/reference runs, so this module adds a compile
+//! step:
 //!
 //! * [`CircuitPlan::compile`] lowers a circuit into a flat
 //!   `Vec<`[`PlannedOp`]`>` where every op carries its **precomputed**
@@ -59,8 +64,9 @@
 //! Plans encode **noiseless** semantics: Pauli noise channels attach
 //! per-gate and per-barrier, which fusion would silently reassociate, so
 //! the executor drives noisy dense runs through [`crate::replay`] instead:
-//! per-gate kernels precompiled once and replayed in segments between
-//! noise insertion points, bit-identical to classified per-gate dispatch.
+//! gates [`lower`]ed once and replayed in segments between noise insertion
+//! points, bit-identical to per-gate dispatch because both run the same
+//! lowered op.
 //! The [`PlanCache`] memoizes those too ([`PlanCache::get_or_compile_noisy`]).
 //!
 //! # Cache keying and invalidation
@@ -229,6 +235,15 @@ pub enum PlannedOp {
         /// Diagonal entries indexed `(hi_bit << 1) | lo_bit`.
         d: [C64; 4],
     },
+    /// `diag(d[0], d[1])` on `target` applied where `control` is set.
+    CDiag1 {
+        /// Control qubit.
+        control: usize,
+        /// Target qubit.
+        target: usize,
+        /// Diagonal entries for the target's `|0>` / `|1>` components.
+        d: [C64; 2],
+    },
     /// CX: flips `target` where `control` is set.
     CFlipX {
         /// Control qubit.
@@ -314,10 +329,10 @@ pub enum PlannedOp {
         qubit: usize,
     },
     /// A classically conditioned op: applied iff `clbit` last read `value`.
-    /// The inner op is precompiled but never fused (its application is only
-    /// known per trajectory).
+    /// The inner op is the gate's [`lower`]ing, never fused (its
+    /// application is only known per trajectory).
     Cond {
-        /// The precompiled conditional operation.
+        /// The lowered conditional gate.
         op: Box<PlannedOp>,
         /// Classical bit the condition reads.
         clbit: usize,
@@ -375,7 +390,7 @@ impl CircuitPlan {
                     for &q in qubits {
                         fuser.flush_qubit(q);
                     }
-                    if let Some(inner) = lower_gate_solo(*gate, qubits) {
+                    if let Some(inner) = lower(*gate, qubits) {
                         fuser.emitted.push(PlannedOp::Cond {
                             op: Box::new(inner),
                             clbit: *clbit,
@@ -485,7 +500,7 @@ impl CircuitPlan {
                 PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
                     panic!("apply_unitary requires a reset- and conditional-free plan")
                 }
-                unitary => apply_unitary_op(sv, unitary),
+                unitary => unitary.apply(sv),
             }
         }
     }
@@ -511,51 +526,108 @@ impl CircuitPlan {
                 PlannedOp::Reset { qubit } => sv.reset(*qubit, rng),
                 PlannedOp::Cond { op, clbit, value } => {
                     if clbits.bit(*clbit) == *value {
-                        apply_unitary_op(sv, op);
+                        op.apply(sv);
                     }
                 }
-                unitary => apply_unitary_op(sv, unitary),
+                unitary => unitary.apply(sv),
             }
         }
     }
 }
 
-/// Applies one unitary planned op to the state via the kernel layer.
-///
-/// # Panics
-///
-/// Panics (in the match) when handed `Measure`/`Reset`/`Cond`; callers
-/// route those through trajectory logic.
-fn apply_unitary_op(sv: &mut StateVector, op: &PlannedOp) {
-    match op {
-        PlannedOp::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
-        PlannedOp::Diag1 { qubit, d } => {
-            kernels::apply_diag1(sv.amps_mut(), *qubit, d[0], d[1]);
-        }
-        PlannedOp::FlipX { qubit } => kernels::apply_x(sv.amps_mut(), *qubit),
-        PlannedOp::Dense1 { qubit, m } => kernels::apply_1q(sv.amps_mut(), *qubit, m),
-        PlannedOp::Diag2 { hi, lo, d } => kernels::apply_diag2(sv.amps_mut(), *hi, *lo, d),
-        PlannedOp::CFlipX { control, target } => {
-            kernels::apply_cx(sv.amps_mut(), *control, *target);
-        }
-        PlannedOp::CDense1 { control, target, m } => {
-            kernels::apply_controlled_1q(sv.amps_mut(), *control, *target, m);
-        }
-        PlannedOp::Swap { a, b } => kernels::apply_swap(sv.amps_mut(), *a, *b),
-        PlannedOp::Dense2 { hi, lo, m } => kernels::apply_dense2(sv.amps_mut(), *hi, *lo, m),
-        PlannedOp::Dense3 { q2, q1, q0, m } => {
-            kernels::apply_dense3(sv.amps_mut(), *q2, *q1, *q0, m);
-        }
-        PlannedOp::Ccx { c0, c1, target } => {
-            kernels::apply_ccx(sv.amps_mut(), *c0, *c1, *target);
-        }
-        PlannedOp::CSwap { control, a, b } => {
-            kernels::apply_cswap(sv.amps_mut(), *control, *a, *b);
-        }
-        PlannedOp::Measure { .. } | PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
-            unreachable!("non-unitary op routed to apply_unitary_op")
+impl PlannedOp {
+    /// Applies this unitary op to `sv` through the kernel layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics when handed `Measure`/`Reset`/`Cond`; callers route those
+    /// through trajectory logic.
+    pub fn apply(&self, sv: &mut StateVector) {
+        match self {
+            PlannedOp::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
+            PlannedOp::Diag1 { qubit, d } => {
+                kernels::apply_diag1(sv.amps_mut(), *qubit, d[0], d[1]);
+            }
+            PlannedOp::FlipX { qubit } => kernels::apply_x(sv.amps_mut(), *qubit),
+            PlannedOp::Dense1 { qubit, m } => kernels::apply_1q(sv.amps_mut(), *qubit, m),
+            PlannedOp::Diag2 { hi, lo, d } => kernels::apply_diag2(sv.amps_mut(), *hi, *lo, d),
+            PlannedOp::CDiag1 { control, target, d } => {
+                kernels::apply_controlled_diag1(sv.amps_mut(), *control, *target, d[0], d[1]);
+            }
+            PlannedOp::CFlipX { control, target } => {
+                kernels::apply_cx(sv.amps_mut(), *control, *target);
+            }
+            PlannedOp::CDense1 { control, target, m } => {
+                kernels::apply_controlled_1q(sv.amps_mut(), *control, *target, m);
+            }
+            PlannedOp::Swap { a, b } => kernels::apply_swap(sv.amps_mut(), *a, *b),
+            PlannedOp::Dense2 { hi, lo, m } => kernels::apply_dense2(sv.amps_mut(), *hi, *lo, m),
+            PlannedOp::Dense3 { q2, q1, q0, m } => {
+                kernels::apply_dense3(sv.amps_mut(), *q2, *q1, *q0, m);
+            }
+            PlannedOp::Ccx { c0, c1, target } => {
+                kernels::apply_ccx(sv.amps_mut(), *c0, *c1, *target);
+            }
+            PlannedOp::CSwap { control, a, b } => {
+                kernels::apply_cswap(sv.amps_mut(), *control, *a, *b);
+            }
+            PlannedOp::Measure { .. } | PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
+                unreachable!("non-unitary op applied as a unitary")
+            }
         }
     }
+}
+
+/// Lowers one gate to the single op that applies it, unfused: the
+/// per-gate dispatch from [`Gate::kind`] to a dense kernel, written once.
+/// [`StateVector::apply_gate`], noisy replay ([`crate::replay`]),
+/// conditional gates and the fuser's unfusable gates all run what this
+/// returns, so they agree bit for bit. `None` for the identity.
+pub fn lower(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
+    Some(match gate.kind() {
+        GateKind::Identity => return None,
+        GateKind::Diagonal1 { d0, d1 } => PlannedOp::Diag1 {
+            qubit: qubits[0],
+            d: [d0, d1],
+        },
+        GateKind::FlipX => PlannedOp::FlipX { qubit: qubits[0] },
+        GateKind::Dense1 { m } => PlannedOp::Dense1 {
+            qubit: qubits[0],
+            m,
+        },
+        GateKind::ControlledDiagonal1 { d0, d1 } => PlannedOp::CDiag1 {
+            control: qubits[0],
+            target: qubits[1],
+            d: [d0, d1],
+        },
+        GateKind::ControlledFlipX => PlannedOp::CFlipX {
+            control: qubits[0],
+            target: qubits[1],
+        },
+        GateKind::ControlledDense1 { m } => PlannedOp::CDense1 {
+            control: qubits[0],
+            target: qubits[1],
+            m,
+        },
+        GateKind::Swap => PlannedOp::Swap {
+            a: qubits[0],
+            b: qubits[1],
+        },
+        GateKind::DoublyControlledFlipX => PlannedOp::Ccx {
+            c0: qubits[0],
+            c1: qubits[1],
+            target: qubits[2],
+        },
+        GateKind::ControlledSwap => PlannedOp::CSwap {
+            control: qubits[0],
+            a: qubits[1],
+            b: qubits[2],
+        },
+        GateKind::General => PlannedOp::DenseK {
+            qubits: qubits.to_vec(),
+            matrix: gate.matrix(),
+        },
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -635,32 +707,14 @@ impl Fuser {
                 let g = gate4_oriented(gate, qubits[0], qubits[1]);
                 self.push_2q(qubits[0], qubits[1], g);
             }
-            GateKind::DoublyControlledFlipX => {
-                if !self.compose_perm3(qubits, ccx8) {
-                    self.flush_qubits(qubits);
-                    self.emitted.push(PlannedOp::Ccx {
-                        c0: qubits[0],
-                        c1: qubits[1],
-                        target: qubits[2],
-                    });
-                }
-            }
-            GateKind::ControlledSwap => {
-                if !self.compose_perm3(qubits, cswap8) {
-                    self.flush_qubits(qubits);
-                    self.emitted.push(PlannedOp::CSwap {
-                        control: qubits[0],
-                        a: qubits[1],
-                        b: qubits[2],
-                    });
-                }
-            }
-            GateKind::General => {
+            // Toffoli/Fredkin compose onto a pending triple on exactly their
+            // operands; otherwise they, like general gates, are flush
+            // barriers emitted unfused.
+            GateKind::DoublyControlledFlipX if self.compose_perm3(qubits, ccx8) => {}
+            GateKind::ControlledSwap if self.compose_perm3(qubits, cswap8) => {}
+            GateKind::DoublyControlledFlipX | GateKind::ControlledSwap | GateKind::General => {
                 self.flush_qubits(qubits);
-                self.emitted.push(PlannedOp::DenseK {
-                    qubits: qubits.to_vec(),
-                    matrix: gate.matrix(),
-                });
+                self.emitted.extend(lower(gate, qubits));
             }
         }
     }
@@ -1003,44 +1057,6 @@ fn controlled_op(control: usize, target: usize, sub: [C64; 4]) -> PlannedOp {
         control,
         target,
         m: sub,
-    }
-}
-
-/// Lowers one gate to a single planned op without fusion (the conditional-
-/// gate path). Returns `None` for the identity.
-fn lower_gate_solo(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
-    match gate.kind() {
-        GateKind::Identity => None,
-        GateKind::Diagonal1 { d0, d1 } => Some(PlannedOp::Diag1 {
-            qubit: qubits[0],
-            d: [d0, d1],
-        }),
-        GateKind::FlipX => Some(PlannedOp::FlipX { qubit: qubits[0] }),
-        GateKind::Dense1 { m } => Some(PlannedOp::Dense1 {
-            qubit: qubits[0],
-            m,
-        }),
-        GateKind::ControlledDiagonal1 { .. }
-        | GateKind::ControlledFlipX
-        | GateKind::ControlledDense1 { .. }
-        | GateKind::Swap => {
-            let (hi, lo) = (qubits[0].max(qubits[1]), qubits[0].min(qubits[1]));
-            classify_2q(hi, lo, &gate4_oriented(gate, qubits[0], qubits[1]))
-        }
-        GateKind::DoublyControlledFlipX => Some(PlannedOp::Ccx {
-            c0: qubits[0],
-            c1: qubits[1],
-            target: qubits[2],
-        }),
-        GateKind::ControlledSwap => Some(PlannedOp::CSwap {
-            control: qubits[0],
-            a: qubits[1],
-            b: qubits[2],
-        }),
-        GateKind::General => Some(PlannedOp::DenseK {
-            qubits: qubits.to_vec(),
-            matrix: gate.matrix(),
-        }),
     }
 }
 
@@ -1888,7 +1904,7 @@ mod tests {
             matrix: Matrix::identity(2),
         };
         let mut sv = StateVector::zero(1);
-        apply_unitary_op(&mut sv, &op);
+        op.apply(&mut sv);
         assert!((sv.norm_sqr() - 1.0).abs() < 1e-12);
     }
 }

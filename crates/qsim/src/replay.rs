@@ -3,39 +3,35 @@
 //!
 //! The compiled plans in [`crate::plan`] encode noiseless semantics —
 //! fusion reassociates exactly the per-gate boundaries that Pauli noise
-//! channels attach to. That used to leave every noisy dense trajectory on
-//! [`StateVector::apply_gate`]'s per-gate path, re-deriving trig-heavy
-//! matrix entries and kernel selection on every gate of every shot. A
-//! [`NoisyPlan`] keeps the per-gate *boundaries* (so the RNG stream is
-//! untouched) while hoisting classification and matrix synthesis to
-//! compile time:
+//! channels attach to. A [`NoisyPlan`] therefore keeps the per-gate
+//! *boundaries* (so the RNG stream is untouched) and hoists only gate
+//! classification and matrix synthesis to compile time:
 //!
 //! * Gates whose arity-class depolarizing rate is zero draw no
 //!   randomness, so consecutive runs of them compile into one
-//!   [`NoisyOp::Segment`] — a warm replay of precompiled kernels with no
-//!   noise bookkeeping at all.
+//!   [`NoisyOp::Segment`] — a warm replay of lowered ops with no noise
+//!   bookkeeping at all.
 //! * Gates that do attach noise become [`NoisyOp::NoisyGate`]: the same
-//!   precompiled kernel, followed by exactly the per-qubit draws
+//!   lowered op, followed by exactly the per-qubit draws
 //!   [`NoiseModel::sample_gate_errors`] makes.
 //!
 //! **Bit-identity is the contract**, asserted in the executor's tests and
-//! the plan proptests: every [`ReplayKernel`] variant mirrors one
-//! [`StateVector::apply_gate`] dispatch arm — same kernel, same operand
-//! handling — and never lowers through the plan layer's reclassification
-//! (multiplying by an exact complex `1` can still flip the sign bit of a
-//! `-0.0`, so even mathematically identity-preserving rewrites are not
-//! bitwise safe). Rate *values* are read live at replay time; only the
-//! structural signature — which channels draw randomness, see
-//! [`noise_signature`] — shapes the plan, so sweeping a rate reuses one
-//! compiled plan.
+//! the plan proptests, and it holds by construction: every gate is lowered
+//! by [`crate::plan::lower`], the same function
+//! [`StateVector::apply_gate`] runs per call, so replay and per-gate
+//! dispatch execute the same kernel on the same operands. Nothing here goes
+//! through the fusion pass's reclassification (multiplying by an exact
+//! complex `1` can still flip the sign bit of a `-0.0`, so even
+//! mathematically identity-preserving rewrites are not bitwise safe). Rate
+//! *values* are read live at replay time; only the structural signature —
+//! which channels draw randomness, see [`noise_signature`] — shapes the
+//! plan, so sweeping a rate reuses one compiled plan.
 
-use crate::kernels;
 use crate::noise::{NoiseModel, Pauli};
+use crate::plan::{lower, PlannedOp};
 use crate::state::StateVector;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
-use qcir::gate::{Gate, GateKind};
-use qcir::math::{Matrix, C64};
 use rand::Rng;
 
 /// Which noise channels are structurally live (rate ≠ 0): bit 0 =
@@ -49,196 +45,17 @@ pub fn noise_signature(noise: &NoiseModel) -> u8 {
         | (u8::from(noise.idle_error != 0.0) << 2)
 }
 
-/// One precompiled gate application, mirroring one
-/// [`StateVector::apply_gate`] dispatch arm exactly (same kernel, same
-/// operand handling) so replay is bit-identical to per-gate dispatch.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplayKernel {
-    /// [`GateKind::Identity`]: no state change (the gate still exists as
-    /// a noise attachment point when its rate is live).
-    Noop,
-    /// [`GateKind::Diagonal1`].
-    Diag1 {
-        /// Target qubit.
-        qubit: usize,
-        /// Diagonal entry for the `|0>` component.
-        d0: C64,
-        /// Diagonal entry for the `|1>` component.
-        d1: C64,
-    },
-    /// [`GateKind::FlipX`].
-    FlipX {
-        /// Target qubit.
-        qubit: usize,
-    },
-    /// [`GateKind::Dense1`].
-    Dense1 {
-        /// Target qubit.
-        qubit: usize,
-        /// Row-major 2×2 entries.
-        m: [C64; 4],
-    },
-    /// [`GateKind::ControlledDiagonal1`].
-    CDiag1 {
-        /// Control qubit.
-        control: usize,
-        /// Target qubit.
-        target: usize,
-        /// Diagonal entry for the target's `|0>` component.
-        d0: C64,
-        /// Diagonal entry for the target's `|1>` component.
-        d1: C64,
-    },
-    /// [`GateKind::ControlledFlipX`].
-    CFlipX {
-        /// Control qubit.
-        control: usize,
-        /// Target qubit.
-        target: usize,
-    },
-    /// [`GateKind::ControlledDense1`].
-    CDense1 {
-        /// Control qubit.
-        control: usize,
-        /// Target qubit.
-        target: usize,
-        /// Row-major 2×2 entries of the controlled block.
-        m: [C64; 4],
-    },
-    /// [`GateKind::Swap`].
-    Swap {
-        /// First qubit.
-        a: usize,
-        /// Second qubit.
-        b: usize,
-    },
-    /// [`GateKind::DoublyControlledFlipX`].
-    Ccx {
-        /// First control.
-        c0: usize,
-        /// Second control.
-        c1: usize,
-        /// Target qubit.
-        target: usize,
-    },
-    /// [`GateKind::ControlledSwap`].
-    CSwap {
-        /// Control qubit.
-        control: usize,
-        /// First exchanged qubit.
-        a: usize,
-        /// Second exchanged qubit.
-        b: usize,
-    },
-    /// [`GateKind::General`]: the matrix precomputed once, applied through
-    /// the same scatter/gather kernel.
-    DenseK {
-        /// Gate operands (big-endian: first is the matrix MSB).
-        qubits: Vec<usize>,
-        /// The gate's dense unitary.
-        matrix: Matrix,
-    },
-}
-
-impl ReplayKernel {
-    /// Precompiles one gate: the same match [`StateVector::apply_gate`]
-    /// performs per call, done once per plan instead.
-    fn compile(gate: Gate, qubits: &[usize]) -> ReplayKernel {
-        match gate.kind() {
-            GateKind::Identity => ReplayKernel::Noop,
-            GateKind::Diagonal1 { d0, d1 } => ReplayKernel::Diag1 {
-                qubit: qubits[0],
-                d0,
-                d1,
-            },
-            GateKind::FlipX => ReplayKernel::FlipX { qubit: qubits[0] },
-            GateKind::Dense1 { m } => ReplayKernel::Dense1 {
-                qubit: qubits[0],
-                m,
-            },
-            GateKind::ControlledDiagonal1 { d0, d1 } => ReplayKernel::CDiag1 {
-                control: qubits[0],
-                target: qubits[1],
-                d0,
-                d1,
-            },
-            GateKind::ControlledFlipX => ReplayKernel::CFlipX {
-                control: qubits[0],
-                target: qubits[1],
-            },
-            GateKind::ControlledDense1 { m } => ReplayKernel::CDense1 {
-                control: qubits[0],
-                target: qubits[1],
-                m,
-            },
-            GateKind::Swap => ReplayKernel::Swap {
-                a: qubits[0],
-                b: qubits[1],
-            },
-            GateKind::DoublyControlledFlipX => ReplayKernel::Ccx {
-                c0: qubits[0],
-                c1: qubits[1],
-                target: qubits[2],
-            },
-            GateKind::ControlledSwap => ReplayKernel::CSwap {
-                control: qubits[0],
-                a: qubits[1],
-                b: qubits[2],
-            },
-            GateKind::General => ReplayKernel::DenseK {
-                qubits: qubits.to_vec(),
-                matrix: gate.matrix(),
-            },
-        }
-    }
-
-    /// Applies the kernel — the exact call the matching
-    /// [`StateVector::apply_gate`] arm makes.
-    fn apply(&self, sv: &mut StateVector) {
-        match self {
-            ReplayKernel::Noop => {}
-            ReplayKernel::Diag1 { qubit, d0, d1 } => {
-                kernels::apply_diag1(sv.amps_mut(), *qubit, *d0, *d1);
-            }
-            ReplayKernel::FlipX { qubit } => kernels::apply_x(sv.amps_mut(), *qubit),
-            ReplayKernel::Dense1 { qubit, m } => kernels::apply_1q(sv.amps_mut(), *qubit, m),
-            ReplayKernel::CDiag1 {
-                control,
-                target,
-                d0,
-                d1,
-            } => {
-                kernels::apply_controlled_diag1(sv.amps_mut(), *control, *target, *d0, *d1);
-            }
-            ReplayKernel::CFlipX { control, target } => {
-                kernels::apply_cx(sv.amps_mut(), *control, *target);
-            }
-            ReplayKernel::CDense1 { control, target, m } => {
-                kernels::apply_controlled_1q(sv.amps_mut(), *control, *target, m);
-            }
-            ReplayKernel::Swap { a, b } => kernels::apply_swap(sv.amps_mut(), *a, *b),
-            ReplayKernel::Ccx { c0, c1, target } => {
-                kernels::apply_ccx(sv.amps_mut(), *c0, *c1, *target);
-            }
-            ReplayKernel::CSwap { control, a, b } => {
-                kernels::apply_cswap(sv.amps_mut(), *control, *a, *b);
-            }
-            ReplayKernel::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
-        }
-    }
-}
-
 /// One step of a [`NoisyPlan`] trajectory.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NoisyOp {
     /// A maximal run of gates that draw no randomness, replayed warm.
-    Segment(Vec<ReplayKernel>),
+    Segment(Vec<PlannedOp>),
     /// A gate whose arity-class depolarizing rate is live: the kernel,
     /// then per-qubit error draws in operand order (exactly what
     /// [`NoiseModel::sample_gate_errors`] does).
     NoisyGate {
-        /// The precompiled gate kernel.
-        kernel: ReplayKernel,
+        /// The lowered gate (`None` for the identity, which still draws).
+        kernel: Option<PlannedOp>,
         /// The gate's operands, in gate order (the draw order).
         qubits: Vec<usize>,
         /// `true` for one-qubit gates (selects `one_qubit_depol`).
@@ -259,8 +76,8 @@ pub enum NoisyOp {
     /// A classically conditioned gate; noise samples only when it fires,
     /// mirroring the per-gate path.
     Cond {
-        /// The precompiled gate kernel.
-        kernel: ReplayKernel,
+        /// The lowered gate (`None` for the identity, which still draws).
+        kernel: Option<PlannedOp>,
         /// The gate's operands, in gate order.
         qubits: Vec<usize>,
         /// `true` for one-qubit gates.
@@ -296,8 +113,8 @@ impl NoisyPlan {
         let two_q_live = signature & 2 != 0;
         let idle_live = signature & 4 != 0;
         let mut ops: Vec<NoisyOp> = Vec::new();
-        let mut segment: Vec<ReplayKernel> = Vec::new();
-        let flush = |ops: &mut Vec<NoisyOp>, segment: &mut Vec<ReplayKernel>| {
+        let mut segment: Vec<PlannedOp> = Vec::new();
+        let flush = |ops: &mut Vec<NoisyOp>, segment: &mut Vec<PlannedOp>| {
             if !segment.is_empty() {
                 ops.push(NoisyOp::Segment(std::mem::take(segment)));
             }
@@ -309,7 +126,7 @@ impl NoisyPlan {
                     if if one_q { one_q_live } else { two_q_live } {
                         flush(&mut ops, &mut segment);
                         ops.push(NoisyOp::NoisyGate {
-                            kernel: ReplayKernel::compile(*gate, qubits),
+                            kernel: lower(*gate, qubits),
                             qubits: qubits.to_vec(),
                             one_q,
                         });
@@ -318,10 +135,7 @@ impl NoisyPlan {
                         // randomness attaches, so the gate joins the warm
                         // run. An identity drops entirely (applies
                         // nothing and, with a dead rate, draws nothing).
-                        let kernel = ReplayKernel::compile(*gate, qubits);
-                        if kernel != ReplayKernel::Noop {
-                            segment.push(kernel);
-                        }
+                        segment.extend(lower(*gate, qubits));
                     }
                 }
                 Op::CondGate {
@@ -332,7 +146,7 @@ impl NoisyPlan {
                 } => {
                     flush(&mut ops, &mut segment);
                     ops.push(NoisyOp::Cond {
-                        kernel: ReplayKernel::compile(*gate, qubits),
+                        kernel: lower(*gate, qubits),
                         qubits: qubits.to_vec(),
                         one_q: gate.num_qubits() == 1,
                         clbit: *clbit,
@@ -410,8 +224,8 @@ impl NoisyPlan {
         for op in &self.ops {
             match op {
                 NoisyOp::Segment(run) => {
-                    for kernel in run {
-                        kernel.apply(sv);
+                    for op in run {
+                        op.apply(sv);
                     }
                 }
                 NoisyOp::NoisyGate {
@@ -419,7 +233,9 @@ impl NoisyPlan {
                     qubits,
                     one_q,
                 } => {
-                    kernel.apply(sv);
+                    if let Some(op) = kernel {
+                        op.apply(sv);
+                    }
                     depolarize(sv, noise, rng, qubits, *one_q);
                 }
                 NoisyOp::Measure { qubit, clbit } => {
@@ -436,7 +252,9 @@ impl NoisyPlan {
                     value,
                 } => {
                     if clbits.bit(*clbit) == *value {
-                        kernel.apply(sv);
+                        if let Some(op) = kernel {
+                            op.apply(sv);
+                        }
                         depolarize(sv, noise, rng, qubits, *one_q);
                     }
                 }
@@ -480,6 +298,7 @@ fn depolarize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcir::gate::Gate;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -6,14 +6,14 @@
 //! [`StateVector::apply_gate`] performs the index bookkeeping between the
 //! two conventions.
 //!
-//! Gate application dispatches on [`qcir::gate::Gate::kind`] to the
-//! specialized kernels in [`crate::kernels`]; the naive full-scan
+//! Gate application runs the per-gate lowering [`crate::plan::lower`]
+//! onto the specialized kernels in [`crate::kernels`]; the naive full-scan
 //! formulation is kept as [`StateVector::apply_matrix_reference`] and serves
 //! as the correctness oracle in tests and benches.
 
 use crate::kernels::{self, DenseScratch};
 use crate::noise::Pauli;
-use qcir::gate::{Gate, GateKind};
+use qcir::gate::Gate;
 use qcir::math::{Matrix, C64};
 use rand::Rng;
 
@@ -155,10 +155,10 @@ impl StateVector {
 
     /// Applies a gate to the given qubits (gate operand order).
     ///
-    /// Dispatches on [`Gate::kind`] to the specialized kernels in
-    /// [`crate::kernels`] — diagonal gates become pure phase multiplies,
-    /// permutation gates become index swaps, dense single-qubit blocks get a
-    /// butterfly update — and performs no heap allocation.
+    /// Runs the op [`crate::plan::lower`] selects from [`Gate::kind`] —
+    /// diagonal gates become pure phase multiplies, permutation gates index
+    /// swaps, dense single-qubit blocks a butterfly update — and performs no
+    /// heap allocation for any gate with a specialized kernel.
     ///
     /// # Panics
     ///
@@ -167,27 +167,8 @@ impl StateVector {
     pub fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
         assert_eq!(qubits.len(), gate.num_qubits(), "gate arity mismatch");
         self.check_operands(qubits);
-        let amps = &mut self.amps[..];
-        match gate.kind() {
-            GateKind::Identity => {}
-            GateKind::Diagonal1 { d0, d1 } => kernels::apply_diag1(amps, qubits[0], d0, d1),
-            GateKind::FlipX => kernels::apply_x(amps, qubits[0]),
-            GateKind::Dense1 { m } => kernels::apply_1q(amps, qubits[0], &m),
-            GateKind::ControlledDiagonal1 { d0, d1 } => {
-                kernels::apply_controlled_diag1(amps, qubits[0], qubits[1], d0, d1)
-            }
-            GateKind::ControlledFlipX => kernels::apply_cx(amps, qubits[0], qubits[1]),
-            GateKind::ControlledDense1 { m } => {
-                kernels::apply_controlled_1q(amps, qubits[0], qubits[1], &m)
-            }
-            GateKind::Swap => kernels::apply_swap(amps, qubits[0], qubits[1]),
-            GateKind::DoublyControlledFlipX => {
-                kernels::apply_ccx(amps, qubits[0], qubits[1], qubits[2])
-            }
-            GateKind::ControlledSwap => kernels::apply_cswap(amps, qubits[0], qubits[1], qubits[2]),
-            GateKind::General => {
-                kernels::apply_dense(amps, &gate.matrix(), qubits, &mut self.scratch)
-            }
+        if let Some(op) = crate::plan::lower(gate, qubits) {
+            op.apply(self);
         }
     }
 

@@ -105,8 +105,8 @@ fn warm_cached_plan_runs_skip_classification_and_allocation() {
 
     // The per-shot replay loop — reinit, replay precompiled ops, measure,
     // record — allocates nothing once the state, RNG chunk and counts
-    // table are warm. Drive the loop exactly as `run_task` does, with the
-    // executor-owned pieces preallocated.
+    // table are warm. Drive the loop exactly as the executor's `run_chunk`
+    // does, with the executor-owned pieces preallocated.
     let plan = exec.plan_for(&qc);
     let mut sv = StateVector::zero(qc.num_qubits());
     let mut counts = Counts::new(qc.num_clbits());

@@ -6,7 +6,7 @@
 //!
 //! | op | fields | reply |
 //! |---|---|---|
-//! | `submit` | `source`, `shots` (1 ..= [`MAX_SHOTS`]), `seed`, `backend?`, `budget?`, `tag?` | `{ok,job,status,cached}` |
+//! | `submit` | `source` (≤ [`MAX_CLBITS`] clbits), `shots` (1 ..= [`MAX_SHOTS`]), `seed`, `backend?`, `budget?`, `tag?` | `{ok,job,status,cached}` |
 //! | `status` | `job` | `{ok,job,status}` |
 //! | `result` | `job`, `wait?` | `{ok,job,status,counts,backend,cached,shots,clbits}` |
 //! | `stats` | — | queue/cache/worker gauges |
@@ -29,6 +29,13 @@ use std::collections::BTreeMap;
 /// with its shot count, so an unbounded count would let one request pin a
 /// worker, and with it shutdown's drain, indefinitely.
 pub const MAX_SHOTS: u64 = 1 << 20;
+
+/// Widest classical register a submitted program may declare (4096, the
+/// widest engine's qubit cap, `qsim::backend::TABLEAU_QUBIT_CAP`). Every
+/// rendered outcome is a bitstring of the register's full width, so an
+/// unbounded `creg` would let one request exhaust the process's memory
+/// when its result is read.
+pub const MAX_CLBITS: usize = 4096;
 
 /// A parsed, typed client request.
 #[derive(Debug, Clone, PartialEq)]

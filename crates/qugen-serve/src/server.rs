@@ -46,7 +46,7 @@
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::error::ServeError;
-use crate::proto::{counts_to_json, Request};
+use crate::proto::{counts_to_json, Request, MAX_CLBITS};
 use crate::queue::BoundedQueue;
 use qsim::backend::{self, BackendKind};
 use qsim::exec::{recommended_threads, Executor, ExecutorConfig};
@@ -363,6 +363,12 @@ impl Server {
             Some(c) => c,
             None => return Err(ServeError::Check(outcome.diagnostics)),
         };
+        if circuit.num_clbits() > MAX_CLBITS {
+            return Err(ServeError::BadRequest(format!(
+                "the classical register must be at most {MAX_CLBITS} bits wide, got {}",
+                circuit.num_clbits()
+            )));
+        }
         let mut spec = JobSpec::new(circuit, shots, seed);
         if let Some(choice) = backend_override {
             spec = spec.with_backend(choice);
@@ -860,6 +866,46 @@ mod tests {
         let sim = reply.get("sim").unwrap();
         assert_eq!(sim.get("code").unwrap().as_str(), Some("qubit_cap"));
         assert_eq!(sim.get("backend").unwrap().as_str(), Some("dense"));
+    }
+
+    #[test]
+    fn clbit_cap_refuses_wide_registers_at_submit() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let submit = |clbits: usize| {
+            let source = format!(
+                "import qasmlite 2.1;\nqreg q[1];\ncreg c[{clbits}];\nx q[0];\n\
+                 measure q[0] -> c[0];\n"
+            );
+            let line = format!(
+                "{{\"op\":\"submit\",\"source\":{},\"shots\":4,\"seed\":0}}",
+                Json::Str(source).encode()
+            );
+            parse(&server.handle_line(&line))
+        };
+        // Regression: a 4e9-bit register used to be queued, and reading its
+        // result aborted the process on a 4 GB bitstring allocation.
+        for clbits in [4_000_000_000, MAX_CLBITS + 1] {
+            let reply = submit(clbits);
+            assert_eq!(
+                reply.get("error").unwrap().as_str(),
+                Some("bad_request"),
+                "creg c[{clbits}]"
+            );
+        }
+        // The cap is inclusive: the widest allowed register runs.
+        let reply = submit(MAX_CLBITS);
+        let id = reply.get("job").unwrap().as_u64().unwrap();
+        let result = parse(
+            &server.handle_line(&format!("{{\"op\":\"result\",\"job\":{id},\"wait\":true}}")),
+        );
+        assert_eq!(result.get("status").unwrap().as_str(), Some("done"));
+        assert_eq!(
+            result.get("clbits").unwrap().as_u64(),
+            Some(MAX_CLBITS as u64)
+        );
     }
 
     #[test]
