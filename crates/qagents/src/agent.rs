@@ -1,6 +1,7 @@
 //! Agent identity and conversation transcripts.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Which agent produced a transcript entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,8 +34,9 @@ pub struct TranscriptEntry {
     pub agent: AgentId,
     /// Short kind tag (`prompt`, `code`, `trace`, `plan`, `decoder`, ...).
     pub kind: &'static str,
-    /// Message body.
-    pub content: String,
+    /// Message body. Shared rather than copied when the text already lives
+    /// elsewhere in the report (an analysis's error trace).
+    pub content: Arc<str>,
 }
 
 /// An append-only record of the pipeline's inter-agent traffic — useful
@@ -51,7 +53,7 @@ impl Transcript {
     }
 
     /// Appends an entry.
-    pub fn push(&mut self, agent: AgentId, kind: &'static str, content: impl Into<String>) {
+    pub fn push(&mut self, agent: AgentId, kind: &'static str, content: impl Into<Arc<str>>) {
         self.entries.push(TranscriptEntry {
             agent,
             kind,

@@ -10,6 +10,7 @@ use qeval::suite::Task;
 use qlm::model::{CodeLlm, GenConfig};
 use qsim::noise::NoiseModel;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// QEC stage configuration.
 #[derive(Debug, Clone)]
@@ -150,14 +151,15 @@ impl Orchestrator {
             if let Some(plan) = &record.generation.plan {
                 transcript.push(AgentId::CodeGen, "plan", qlm::cot::render_plan(plan));
             }
-            transcript.push(AgentId::CodeGen, "code", record.generation.source.clone());
+            transcript.push(AgentId::CodeGen, "code", record.generation.source.as_str());
             if record.analysis.passed() {
                 transcript.push(AgentId::SemanticAnalyzer, "verdict", "pass");
             } else {
+                // Shares the analysis's trace text rather than copying it.
                 transcript.push(
                     AgentId::SemanticAnalyzer,
                     "trace",
-                    record.analysis.error_trace.clone(),
+                    Arc::clone(&record.analysis.error_trace),
                 );
             }
         }
@@ -273,6 +275,121 @@ mod tests {
                 assert!(qec.spec.estimated_lifetime_extension > 0.0);
                 return;
             }
+        }
+        panic!("no compiling generation in 30 seeds");
+    }
+
+    #[test]
+    fn trace_entries_share_the_analysis_error_trace() {
+        let orchestrator = Orchestrator::new(PipelineConfig {
+            gen: GenConfig::with_scot(),
+            max_passes: 3,
+            qec: None,
+        });
+        let mut shared = 0;
+        for (i, task) in test_suite().iter().enumerate().take(12) {
+            let report = orchestrator.run_task(task, i as u64);
+            let traces: Vec<_> = report
+                .transcript
+                .entries()
+                .iter()
+                .filter(|e| e.kind == "trace")
+                .collect();
+            let failed: Vec<_> = report
+                .multipass
+                .history
+                .iter()
+                .filter(|r| !r.analysis.passed())
+                .collect();
+            assert_eq!(traces.len(), failed.len(), "{}", task.id);
+            for (entry, record) in traces.iter().zip(&failed) {
+                assert!(
+                    Arc::ptr_eq(&entry.content, &record.analysis.error_trace),
+                    "{}: trace entry copies its pass's error trace",
+                    task.id
+                );
+                shared += 1;
+            }
+        }
+        assert!(shared > 0, "no failing pass in the sample");
+    }
+
+    #[test]
+    fn transcript_display_is_unchanged() {
+        let orchestrator = Orchestrator::new(PipelineConfig {
+            gen: GenConfig::with_scot(),
+            max_passes: 3,
+            qec: None,
+        });
+        let task = test_suite()
+            .into_iter()
+            .find(|t| t.id == "basic/basis-2-1")
+            .expect("basis task");
+        let report = orchestrator.run_task(&task, 0);
+        let expected = concat!(
+            "[orchestrator / prompt]\n",
+            "  Generate a quantum program encoding the basis state 1 on 2 qubits and measuring it.\n",
+            "[code-gen / plan]\n",
+            "  Let's think step by step:\n",
+            "  1. allocate n qubits\n",
+            "  2. x gates on set bits\n",
+            "  3. measure all\n",
+            "[code-gen / code]\n",
+            "  import qasmlite 2.1;\n",
+            "  qreg q[2];\n",
+            "  creg c[2];\n",
+            "  x q[0];\n",
+            "  measure q[0] -> c[0];\n",
+            "  measure q[2] -> c[1];\n",
+            "[semantic-analyzer / trace]\n",
+            "  Traceback (most recent failure):\n",
+            "    error[E0202] at 6:9: index 2 out of range for register `q` of size 2\n",
+            "[code-gen / plan]\n",
+            "  Let's think step by step:\n",
+            "  1. allocate n qubits\n",
+            "  2. x gates on set bits\n",
+            "  3. measure all\n",
+            "[code-gen / code]\n",
+            "  import qasmlite 2.1;\n",
+            "  qreg q[2];\n",
+            "  creg c[2];\n",
+            "  x q[0];\n",
+            "  measure q[0] -> c[0];\n",
+            "  measure q[1] -> c[1];\n",
+            "[semantic-analyzer / verdict]\n",
+            "  pass\n",
+        );
+        assert_eq!(report.transcript.to_string(), expected);
+    }
+
+    #[test]
+    fn empty_device_qec_stage_reports_an_error() {
+        let config = PipelineConfig {
+            gen: GenConfig::with_scot(),
+            max_passes: 3,
+            qec: Some(QecStage {
+                topology: Topology::new("empty", 0, &[]),
+                shots: 64,
+                ..QecStage::default()
+            }),
+        };
+        let orchestrator = Orchestrator::new(config);
+        let task = &test_suite()[0];
+        for seed in 0..30 {
+            let report = orchestrator.run_task(task, seed);
+            if !report.multipass.last().analysis.detail.syntactic_ok {
+                continue;
+            }
+            assert!(report.qec.is_none());
+            let errors: Vec<_> = report.transcript.from_agent(AgentId::Qec).collect();
+            assert_eq!(errors.len(), 1);
+            assert_eq!(errors[0].kind, "error");
+            assert!(
+                errors[0].content.contains("device has 0 qubits"),
+                "{}",
+                errors[0].content
+            );
+            return;
         }
         panic!("no compiling generation in 30 seeds");
     }

@@ -3,14 +3,16 @@
 use qcir::diag::{render_trace, DiagCode, Severity};
 use qeval::grade::{grade_source, GradeDetail};
 use qlm::spec::TaskSpec;
+use std::sync::Arc;
 
 /// The analyzer's verdict on one generated program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SemanticAnalysis {
     /// Full grading detail (diagnostics, TVD).
     pub detail: GradeDetail,
-    /// Rendered error trace (what the repair prompt embeds).
-    pub error_trace: String,
+    /// Rendered error trace (what the repair prompt embeds). Built once and
+    /// shared: the orchestrator's transcript holds a clone of this `Arc`.
+    pub error_trace: Arc<str>,
     /// Machine-readable diagnostic codes for the repair model.
     pub trace_codes: Vec<DiagCode>,
     /// `true` when the program ran but its behaviour was wrong — the
@@ -69,7 +71,7 @@ impl SemanticAnalyzerAgent {
         }
         SemanticAnalysis {
             detail,
-            error_trace,
+            error_trace: error_trace.into(),
             trace_codes,
             semantic_feedback,
         }

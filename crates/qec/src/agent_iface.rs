@@ -101,11 +101,17 @@ impl fmt::Display for DecoderSpec {
 /// that fits the device, falling back to a repetition code for devices
 /// without a degree-4 grid region (heavy-hex). The lifetime-extension
 /// estimate is measured by a short Monte-Carlo memory experiment, not
-/// guessed.
+/// guessed: 3,000 trials of [`memory::code_capacity_experiment`], whose
+/// packed, memoized loop makes the same RNG draws as decoding every trial
+/// and returns the same estimate bit for bit. At d = 5 with union-find
+/// (what the QEC agent asks for on a 7x7 grid) a call costs about 0.5 ms
+/// on a 2-vCPU Xeon host (the `qec_decoder_synthesis_grid7_d5` bench).
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError`] for disconnected or hopeless devices.
+/// Returns [`SynthesisError::Disconnected`] for a disconnected device and
+/// [`SynthesisError::TooSmall`] for one with fewer than five qubits (an
+/// empty device included).
 pub fn synthesize(
     device: &Topology,
     p: f64,
@@ -150,10 +156,11 @@ pub fn synthesize(
             calibration_rate: p,
         });
     }
-    // Repetition fallback: needs 2d-1 qubits (data + ancilla).
+    // Repetition fallback: needs 2d-1 qubits (data + ancilla). The largest
+    // odd distance that fits; zero for an empty device, which is too small.
     let d_rep = device.num_qubits().div_ceil(2).min(7);
     let d_rep = if d_rep.is_multiple_of(2) {
-        d_rep - 1
+        d_rep.saturating_sub(1)
     } else {
         d_rep
     };
@@ -227,11 +234,17 @@ mod tests {
 
     #[test]
     fn hopeless_device_errors() {
-        let device = Topology::line(2);
-        assert!(matches!(
-            synthesize(&device, 0.02, 3, 5),
-            Err(SynthesisError::TooSmall { .. })
-        ));
+        // The empty device once underflowed the repetition distance (a
+        // debug panic, and a hang in release builds).
+        for device in [Topology::line(2), Topology::new("empty", 0, &[])] {
+            let qubits = device.num_qubits();
+            assert_eq!(
+                synthesize(&device, 0.02, 3, 5),
+                Err(SynthesisError::TooSmall { qubits, needed: 5 }),
+                "{}",
+                device.name()
+            );
+        }
     }
 
     #[test]

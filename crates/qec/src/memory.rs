@@ -25,6 +25,7 @@ use qsim::exec::ExecutorConfig;
 use qsim::noise::NoiseModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Which decoder implementation to use in an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,6 +99,20 @@ impl MemoryResult {
 
 /// Code-capacity experiment: i.i.d. X errors with probability `p`, one
 /// perfect syndrome measurement, decode, count logical X flips.
+///
+/// This is the estimate [`crate::agent_iface::synthesize`] runs for every
+/// decoder it synthesizes, so the per-trial loop works on packed state:
+/// the error pattern and its syndrome are `u64` words, built from one
+/// precomputed syndrome mask per data qubit. A trial with an empty
+/// syndrome needs no correction; any other syndrome is decoded once per
+/// call and its correction memoized. The logical check is the parity of
+/// `(error ^ correction) & logical_z`.
+///
+/// The result is bit-identical to decoding every trial separately: the RNG
+/// makes the same `gen_bool(p)` draws in the same order (one per data
+/// qubit), and every decoder is a deterministic function of the flagged
+/// set, so a memoized correction is the correction a fresh decode would
+/// return.
 pub fn code_capacity_experiment(
     d: usize,
     p: f64,
@@ -107,23 +122,54 @@ pub fn code_capacity_experiment(
 ) -> MemoryResult {
     let code = SurfaceCode::new(d);
     let graph = DecodingGraph::code_capacity_x(&code);
-    let decoder = kind.build(&code, graph.clone());
+    let n = code.num_data();
+    let err_words = n.div_ceil(64);
+    let syn_words = graph.num_nodes().div_ceil(64);
+    // Row `q` of `syn_masks` is the syndrome of a lone X error on qubit `q`.
+    let mut syn_masks = vec![0u64; n * syn_words];
+    for e in graph.edges() {
+        let q = e.qubit.expect("code-capacity edges are data qubits");
+        let row = &mut syn_masks[q * syn_words..(q + 1) * syn_words];
+        for node in std::iter::once(e.a).chain(e.b) {
+            row[node / 64] ^= 1 << (node % 64);
+        }
+    }
+    let mut logical_z = vec![0u64; err_words];
+    for q in code.logical_z() {
+        logical_z[q / 64] |= 1 << (q % 64);
+    }
+    let decoder = kind.build(&code, graph);
+    let mut memo: HashMap<Vec<u64>, Vec<u64>> = HashMap::new();
+    let no_correction = vec![0u64; err_words];
+    let mut err = vec![0u64; err_words];
+    let mut syn = vec![0u64; syn_words];
     let mut rng = StdRng::seed_from_u64(seed);
     let mut failures = 0usize;
     for _ in 0..trials {
-        let mut errors = vec![false; code.num_data()];
-        for e in errors.iter_mut() {
+        err.fill(0);
+        syn.fill(0);
+        for q in 0..n {
             if rng.gen_bool(p) {
-                *e = true;
+                err[q / 64] |= 1 << (q % 64);
+                xor_into(&mut syn, &syn_masks[q * syn_words..(q + 1) * syn_words]);
             }
         }
-        let flagged = graph.syndrome_of(&errors);
-        let correction = decoder.decode(&flagged);
-        correction.apply(&mut errors);
-        debug_assert!(code.z_syndrome(&errors).iter().all(|&b| !b));
-        if code.is_logical_x_flip(&errors) {
-            failures += 1;
-        }
+        let flip = if syn.iter().all(|&w| w == 0) {
+            logical_flip(&err, &no_correction, &logical_z)
+        } else if let Some(corr) = memo.get(syn.as_slice()) {
+            logical_flip(&err, corr, &logical_z)
+        } else {
+            let corr = decode_packed(decoder.as_ref(), &syn, err_words);
+            debug_assert_eq!(
+                packed_syndrome(&corr, &syn_masks, syn_words),
+                syn,
+                "correction must clear the syndrome"
+            );
+            let flip = logical_flip(&err, &corr, &logical_z);
+            memo.insert(syn.clone(), corr);
+            flip
+        };
+        failures += flip as usize;
     }
     MemoryResult {
         distance: d,
@@ -132,6 +178,48 @@ pub fn code_capacity_experiment(
         trials,
         decoder: kind.name(),
     }
+}
+
+/// Whether `err ^ corr` has odd overlap with the logical-Z support.
+fn logical_flip(err: &[u64], corr: &[u64], logical_z: &[u64]) -> bool {
+    let mut parity = 0;
+    for ((e, c), z) in err.iter().zip(corr).zip(logical_z) {
+        parity ^= ((e ^ c) & z).count_ones();
+    }
+    parity & 1 == 1
+}
+
+/// `acc ^= other`, word by word.
+fn xor_into(acc: &mut [u64], other: &[u64]) {
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a ^= b;
+    }
+}
+
+/// Decodes a packed syndrome: the flagged nodes in ascending order, as
+/// [`DecodingGraph::syndrome_of`] lists them, and the correction packed
+/// into `err_words` words (a repeated flip cancels, as in
+/// [`Correction::apply`]).
+fn decode_packed(decoder: &dyn Decoder, syn: &[u64], err_words: usize) -> Vec<u64> {
+    let flagged: Vec<usize> = (0..syn.len() * 64)
+        .filter(|&i| syn[i / 64] >> (i % 64) & 1 == 1)
+        .collect();
+    let mut corr = vec![0u64; err_words];
+    for q in decoder.decode(&flagged).qubit_flips {
+        corr[q / 64] ^= 1 << (q % 64);
+    }
+    corr
+}
+
+/// The syndrome of a packed X-error pattern.
+fn packed_syndrome(err: &[u64], syn_masks: &[u64], syn_words: usize) -> Vec<u64> {
+    let mut syn = vec![0u64; syn_words];
+    for (q, mask) in syn_masks.chunks_exact(syn_words).enumerate() {
+        if err[q / 64] >> (q % 64) & 1 == 1 {
+            xor_into(&mut syn, mask);
+        }
+    }
+    syn
 }
 
 /// Phenomenological experiment: `rounds` rounds of noisy syndrome

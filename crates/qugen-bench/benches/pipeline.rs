@@ -37,6 +37,10 @@ fn bench_qec_synthesis(c: &mut Criterion) {
     c.bench_function("qec_decoder_synthesis_grid7", |b| {
         b.iter(|| std::hint::black_box(synthesize(&device, 0.02, 3, 1).expect("synthesis")))
     });
+    // The call `QecAgent` makes: max distance 5, union-find at d = 5.
+    c.bench_function("qec_decoder_synthesis_grid7_d5", |b| {
+        b.iter(|| std::hint::black_box(synthesize(&device, 0.02, 5, 1).expect("synthesis")))
+    });
 }
 
 criterion_group!(
