@@ -22,6 +22,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// A library version `major.minor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +126,13 @@ impl Default for ApiRegistry {
 }
 
 impl ApiRegistry {
+    /// The standard registry, built once per process and shared: checking
+    /// a program needs only a borrow, so hot paths skip the rebuild.
+    pub fn shared() -> &'static ApiRegistry {
+        static SHARED: OnceLock<ApiRegistry> = OnceLock::new();
+        SHARED.get_or_init(ApiRegistry::standard)
+    }
+
     /// Builds the standard registry with the release history above.
     pub fn standard() -> Self {
         let v10 = Version::new(1, 0);

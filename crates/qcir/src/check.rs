@@ -51,7 +51,7 @@ impl CheckOutcome {
 /// Returns the full diagnostic list when any error-severity diagnostic is
 /// produced.
 pub fn lower(program: &Program) -> Result<Circuit, Vec<Diagnostic>> {
-    let outcome = check(program, &ApiRegistry::standard());
+    let outcome = check(program, ApiRegistry::shared());
     match outcome.circuit {
         Some(c) => Ok(c),
         None => Err(outcome.diagnostics),

@@ -13,12 +13,25 @@ use crate::diag::{DiagCode, Diagnostic, Span};
 /// expectation) so the repair prompt carries enough signal.
 pub fn parse(src: &str) -> Result<Program, Diagnostic> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.program()
+    Parser {
+        toks,
+        pos: 0,
+        nesting: 0,
+    }
+    .program()
 }
+
+/// Deepest angle expression [`parse`] accepts. Both the expression tree
+/// (operator chains and unary minus) and parenthesis nesting count. Deeper
+/// input is refused with a [`DiagCode::ParseError`], so neither the parser,
+/// nor evaluation, nor dropping the tree can overflow the stack.
+pub const MAX_EXPR_DEPTH: usize = 128;
 
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Parentheses and unary minuses open around the current token.
+    nesting: usize,
 }
 
 impl Parser {
@@ -46,6 +59,35 @@ impl Parser {
 
     fn err(&self, msg: impl Into<String>) -> Diagnostic {
         Diagnostic::error(DiagCode::ParseError, msg, self.span())
+    }
+
+    fn too_deep(&self) -> Diagnostic {
+        self.err(format!(
+            "angle expression nested deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
+    /// `expr` with its tree depth, refused past [`MAX_EXPR_DEPTH`].
+    fn bounded(&self, expr: Expr, depth: usize) -> Result<(Expr, usize), Diagnostic> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, depth))
+    }
+
+    /// Runs `f` one parenthesis or unary minus deeper, refusing to recurse
+    /// past [`MAX_EXPR_DEPTH`].
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<(Expr, usize), Diagnostic>,
+    ) -> Result<(Expr, usize), Diagnostic> {
+        if self.nesting >= MAX_EXPR_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.nesting += 1;
+        let result = f(self);
+        self.nesting -= 1;
+        result
     }
 
     fn expect(&mut self, tok: &Tok, what: &str) -> Result<Span, Diagnostic> {
@@ -277,7 +319,7 @@ impl Parser {
             self.bump();
             if self.peek() != Some(&Tok::RParen) {
                 loop {
-                    params.push(self.expr()?);
+                    params.push(self.expr()?.0);
                     if self.peek() == Some(&Tok::Comma) {
                         self.bump();
                     } else {
@@ -318,9 +360,10 @@ impl Parser {
     }
 
     // Expression grammar: term (+|- term)*; term: factor (*|/ factor)*;
-    // factor: NUMBER | pi | IDENT | -factor | ( expr ).
-    fn expr(&mut self) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.term()?;
+    // factor: NUMBER | pi | IDENT | -factor | ( expr ). Each returns the
+    // expression with its tree depth.
+    fn expr(&mut self) -> Result<(Expr, usize), Diagnostic> {
+        let (mut lhs, mut depth) = self.term()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Plus) => BinOp::Add,
@@ -328,18 +371,19 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let rhs = self.term()?;
-            lhs = Expr::Bin {
+            let (rhs, rhs_depth) = self.term()?;
+            let bin = Expr::Bin {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
+            (lhs, depth) = self.bounded(bin, 1 + depth.max(rhs_depth))?;
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn term(&mut self) -> Result<Expr, Diagnostic> {
-        let mut lhs = self.factor()?;
+    fn term(&mut self) -> Result<(Expr, usize), Diagnostic> {
+        let (mut lhs, mut depth) = self.factor()?;
         loop {
             let op = match self.peek() {
                 Some(Tok::Star) => BinOp::Mul,
@@ -347,38 +391,40 @@ impl Parser {
                 _ => break,
             };
             self.bump();
-            let rhs = self.factor()?;
-            lhs = Expr::Bin {
+            let (rhs, rhs_depth) = self.factor()?;
+            let bin = Expr::Bin {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
+            (lhs, depth) = self.bounded(bin, 1 + depth.max(rhs_depth))?;
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn factor(&mut self) -> Result<Expr, Diagnostic> {
+    fn factor(&mut self) -> Result<(Expr, usize), Diagnostic> {
         match self.peek() {
             Some(Tok::Number { value, .. }) => {
                 let v = *value;
                 self.bump();
-                Ok(Expr::Num(v))
+                Ok((Expr::Num(v), 1))
             }
             Some(Tok::Ident(name)) if name == "pi" => {
                 self.bump();
-                Ok(Expr::Pi)
+                Ok((Expr::Pi, 1))
             }
             Some(Tok::Ident(_)) => {
                 let (name, _) = self.expect_ident("parameter")?;
-                Ok(Expr::Ident(name))
+                Ok((Expr::Ident(name), 1))
             }
             Some(Tok::Minus) => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.factor()?)))
+                let (e, depth) = self.nested(Self::factor)?;
+                self.bounded(Expr::Neg(Box::new(e)), depth + 1)
             }
             Some(Tok::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Tok::RParen, "`)` closing the expression")?;
                 Ok(e)
             }
@@ -542,5 +588,44 @@ mod tests {
         assert!(matches!(stmts[0], Stmt::Reset { .. }));
         assert!(matches!(stmts[1], Stmt::Barrier { targets, .. } if targets.is_empty()));
         assert!(matches!(stmts[2], Stmt::Barrier { targets, .. } if targets.len() == 2));
+    }
+
+    /// A one-gate program whose angle is `angle`.
+    fn rz(angle: &str) -> String {
+        format!("qreg q[1]; rz({angle}) q[0];")
+    }
+
+    #[test]
+    fn expressions_up_to_the_depth_bound_parse() {
+        let parens = format!(
+            "{}1{}",
+            "(".repeat(MAX_EXPR_DEPTH),
+            ")".repeat(MAX_EXPR_DEPTH)
+        );
+        let minuses = format!("{}1", "-".repeat(MAX_EXPR_DEPTH - 1));
+        let chain = vec!["1"; MAX_EXPR_DEPTH].join("+");
+        for angle in [parens, minuses, chain] {
+            assert!(parse(&rz(&angle)).is_ok(), "{angle}");
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_refused_not_a_stack_overflow() {
+        let parens = format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000));
+        let minuses = format!("{}1", "-".repeat(100_000));
+        // Parses iteratively, but the left-deep tree would overflow the
+        // stack when checked, evaluated or dropped.
+        let chain = vec!["1"; 1_000_000].join("+");
+        for angle in [parens, minuses, chain] {
+            let err = parse(&rz(&angle)).unwrap_err();
+            assert_eq!(err.code, DiagCode::ParseError);
+            assert!(
+                err.message.contains("nested deeper than"),
+                "{}",
+                err.message
+            );
+        }
+        let just_over = vec!["1"; MAX_EXPR_DEPTH + 2].join("*");
+        assert!(parse(&rz(&just_over)).is_err());
     }
 }

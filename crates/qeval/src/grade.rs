@@ -143,7 +143,7 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         Err(diag) => return GradeDetail::unmeasured(false, vec![diag]),
     };
     // Stage 1b: semantic check + lowering.
-    let outcome = qcir::check::check(&program, &qcir::api::ApiRegistry::standard());
+    let outcome = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
     let Some(circuit) = outcome.circuit.clone() else {
         return GradeDetail::unmeasured(false, outcome.diagnostics);
     };
@@ -428,5 +428,23 @@ mod tests {
         };
         let detail = grade_source(&gold_source(&spec), &spec);
         assert!(detail.passed(), "tvd {:?}", detail.tvd);
+    }
+
+    #[test]
+    fn hostile_angle_nesting_grades_as_a_parse_error() {
+        let angles = [
+            format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000)),
+            format!("{}1", "-".repeat(100_000)),
+            vec!["1"; 1_000_000].join("+"),
+        ];
+        for angle in angles {
+            let source = format!(
+                "import qasmlite 2.1;\nqreg q[2];\ncreg c[2];\nrz({angle}) q[0];\nmeasure q -> c;\n"
+            );
+            let detail = grade_source(&source, &TaskSpec::BellPair);
+            assert!(!detail.syntactic_ok && !detail.passed());
+            assert_eq!(detail.diagnostics.len(), 1);
+            assert_eq!(detail.diagnostics[0].code, qcir::diag::DiagCode::ParseError);
+        }
     }
 }

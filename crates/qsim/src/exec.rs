@@ -26,6 +26,7 @@
 
 use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
 use crate::dist::{Counts, Distribution};
+use crate::frame::{FrameProgram, PauliFrame};
 use crate::job::JobSpec;
 use crate::lru::lock;
 use crate::mps::{MpsSampler, MpsState};
@@ -273,7 +274,10 @@ impl ExecutorConfig {
 /// the exact distribution; otherwise it runs one Monte-Carlo trajectory per
 /// shot (required for mid-circuit measurement, conditionals, resets and
 /// noise). Clifford circuits dispatch to the stabilizer tableau per the
-/// rules in [`crate::backend`], which keeps large QEC workloads polynomial.
+/// rules in [`crate::backend`], which keeps large QEC workloads polynomial;
+/// there the tableau runs once per job and each shot propagates a Pauli
+/// frame ([`crate::frame`]), with outcomes bit-identical to running every
+/// shot on the tableau.
 #[derive(Debug, Clone)]
 pub struct Executor {
     config: ExecutorConfig,
@@ -486,6 +490,13 @@ impl Executor {
                     measure_map,
                 }
             }
+            // Clifford circuits on the tableau: one reference pass, then a
+            // Pauli frame per shot, bit-identical to per-shot tableau runs.
+            // A conditioned non-Pauli gate keeps the per-shot tableau.
+            BackendKind::Tableau => match FrameProgram::compile(circuit) {
+                Some(program) => ShotSource::Frame { program },
+                None => ShotSource::Trajectory { circuit },
+            },
             _ => ShotSource::Trajectory { circuit },
         };
         Ok(Task {
@@ -526,6 +537,7 @@ impl Executor {
         let chunks = shots.div_ceil(SHOT_CHUNK);
         let span = trace::span("executor", "job")
             .label("backend", kind.name())
+            .label("source", task.source.name())
             .int("shots", shots as i128)
             .int("chunks", chunks as i128);
         let start = Instant::now();
@@ -652,6 +664,11 @@ impl Executor {
                     plan.run_trajectory(sv, &self.config.noise, rng, word);
                 });
             }
+            (ShotSource::Frame { program }, WorkerCtx::Frame(frame)) => {
+                record(shots, rng, counts, |rng, word| {
+                    program.run_shot(frame, &self.config.noise, rng, word);
+                });
+            }
             (ShotSource::Trajectory { circuit }, WorkerCtx::Engine(state)) => {
                 record(shots, rng, counts, |rng, word| {
                     self.trajectory(circuit, state.as_mut(), rng, word);
@@ -670,15 +687,14 @@ impl Executor {
         rng: &mut StdRng,
         clbits: &mut OutcomeWord,
     ) {
+        let noise = &self.config.noise;
         state.reinit();
         clbits.clear();
         for op in circuit.ops() {
             match op {
                 Op::Gate { gate, qubits } => {
                     state.apply_gate(*gate, qubits);
-                    for (q, pauli) in self.config.noise.sample_gate_errors(gate, qubits, rng) {
-                        state.apply_pauli(q, pauli);
-                    }
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| state.apply_pauli(q, p));
                 }
                 Op::CondGate {
                     gate,
@@ -688,27 +704,20 @@ impl Executor {
                 } => {
                     if clbits.bit(*clbit) == *value {
                         state.apply_gate(*gate, qubits);
-                        for (q, pauli) in self.config.noise.sample_gate_errors(gate, qubits, rng) {
-                            state.apply_pauli(q, pauli);
-                        }
+                        noise
+                            .for_each_gate_error(gate, qubits, rng, |q, p| state.apply_pauli(q, p));
                     }
                 }
                 Op::Measure { qubit, clbit } => {
                     let raw = state.measure(*qubit, rng);
-                    let reported = self.config.noise.sample_readout(raw, rng);
-                    clbits.set_bit(*clbit, reported);
+                    clbits.set_bit(*clbit, noise.sample_readout(raw, rng));
                 }
                 Op::Reset { qubit } => {
                     state.reset(*qubit, rng);
                 }
                 Op::Barrier { .. } => {
-                    for (q, pauli) in self
-                        .config
-                        .noise
-                        .sample_idle_errors(state.num_qubits(), rng)
-                    {
-                        state.apply_pauli(q, pauli);
-                    }
+                    let n = state.num_qubits();
+                    noise.for_each_idle_error(n, rng, |q, p| state.apply_pauli(q, p));
                 }
             }
         }
@@ -827,9 +836,25 @@ enum ShotSource<'c> {
     /// noisy model replay lowered ops between noise insertion points,
     /// bit-identical to per-gate dispatch.
     NoisyReplay { plan: Arc<NoisyPlan> },
+    /// Pauli-frame path: tableau jobs compiled against one reference
+    /// sample, bit-identical to per-shot tableau trajectories.
+    Frame { program: FrameProgram },
     /// Monte-Carlo path through [`Executor::trajectory`] on the resolved
     /// backend engine.
     Trajectory { circuit: &'c Circuit },
+}
+
+impl ShotSource<'_> {
+    /// The source's label on the `executor/job` trace span.
+    fn name(&self) -> &'static str {
+        match self {
+            ShotSource::Sampling { .. } => "sampling",
+            ShotSource::PlannedTrajectory { .. } => "planned",
+            ShotSource::NoisyReplay { .. } => "replay",
+            ShotSource::Frame { .. } => "frame",
+            ShotSource::Trajectory { .. } => "trajectory",
+        }
+    }
 }
 
 /// A frozen measure-at-end prefix both sampling engines draw shots from —
@@ -877,6 +902,7 @@ impl Task<'_> {
             ShotSource::NoisyReplay { plan } => {
                 WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
             }
+            ShotSource::Frame { program } => WorkerCtx::Frame(program.frame()),
             ShotSource::Trajectory { circuit } => WorkerCtx::Engine(
                 self.kind
                     .build()
@@ -896,11 +922,13 @@ struct Tally {
 }
 
 /// A worker's reusable simulation context for one job: the basis scratch
-/// word of a sampler, a bare state vector for plan-driven trajectories, or
-/// a boxed backend engine for unfused ones.
+/// word of a sampler, a bare state vector for plan-driven trajectories, a
+/// Pauli frame for frame-sampled Clifford jobs, or a boxed backend engine
+/// for unfused ones.
 enum WorkerCtx {
     Basis(OutcomeWord),
     Dense(StateVector),
+    Frame(PauliFrame),
     Engine(Box<dyn BackendState>),
 }
 

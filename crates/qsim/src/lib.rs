@@ -17,6 +17,9 @@
 //!   Clifford circuits, stored column-major and bit-packed so gates are
 //!   word-parallel, used for surface-code syndrome extraction at
 //!   distances where the dense simulator is infeasible.
+//! * [`frame`] — Pauli-frame shot sampling: the tableau runs once per job
+//!   for a reference sample, and each shot propagates only a Pauli frame,
+//!   bit-identical to a full tableau shot.
 //! * [`mps`] — a matrix-product-state simulator with bounded bond
 //!   dimension χ and truncated-SVD two-site updates, for low-entanglement
 //!   *non-Clifford* circuits past the dense qubit cap.
@@ -66,6 +69,7 @@
 pub mod backend;
 pub mod dist;
 pub mod exec;
+pub mod frame;
 pub mod job;
 pub mod kernels;
 pub mod lru;

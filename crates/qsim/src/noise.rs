@@ -123,29 +123,31 @@ impl NoiseModel {
         }
     }
 
-    /// Samples the post-gate error Paulis for a gate over `qubits`.
+    /// Samples the post-gate error Paulis for a gate over `qubits`, calling
+    /// `f(qubit, pauli)` for each one in operand order.
     ///
-    /// Returns `(qubit, pauli)` pairs to apply after the ideal gate.
-    pub fn sample_gate_errors(
+    /// This is the gate-error draw order every trajectory engine shares: one
+    /// `gen_bool(p)` per operand at the gate's arity-class rate, then one
+    /// `gen_range(0..3)` for each hit. A zero rate draws nothing.
+    pub fn for_each_gate_error(
         &self,
         gate: &Gate,
         qubits: &[usize],
         rng: &mut impl Rng,
-    ) -> Vec<(usize, Pauli)> {
+        mut f: impl FnMut(usize, Pauli),
+    ) {
         let p = match gate.num_qubits() {
             1 => self.one_qubit_depol,
             _ => self.two_qubit_depol,
         };
         if p == 0.0 {
-            return Vec::new();
+            return;
         }
-        let mut errors = Vec::new();
         for &q in qubits {
             if rng.gen_bool(p) {
-                errors.push((q, Pauli::random(rng)));
+                f(q, Pauli::random(rng));
             }
         }
-        errors
     }
 
     /// Samples whether a readout of `value` is flipped.
@@ -157,12 +159,19 @@ impl NoiseModel {
         }
     }
 
-    /// Samples idle errors across `num_qubits` qubits for one moment.
-    pub fn sample_idle_errors(&self, num_qubits: usize, rng: &mut impl Rng) -> Vec<(usize, Pauli)> {
+    /// Samples idle errors across `num_qubits` qubits for one moment,
+    /// calling `f(qubit, pauli)` for each one in qubit order: one
+    /// `gen_bool(idle_error)` per qubit, then one `gen_bool(0.75)` for each
+    /// hit. A zero rate draws nothing.
+    pub fn for_each_idle_error(
+        &self,
+        num_qubits: usize,
+        rng: &mut impl Rng,
+        mut f: impl FnMut(usize, Pauli),
+    ) {
         if self.idle_error == 0.0 {
-            return Vec::new();
+            return;
         }
-        let mut errors = Vec::new();
         for q in 0..num_qubits {
             if rng.gen_bool(self.idle_error) {
                 // Idle noise is dephasing-dominated on hardware: bias to Z.
@@ -171,10 +180,9 @@ impl NoiseModel {
                 } else {
                     Pauli::X
                 };
-                errors.push((q, pauli));
+                f(q, pauli);
             }
         }
-        errors
     }
 }
 
@@ -188,11 +196,13 @@ mod tests {
     fn ideal_model_samples_nothing() {
         let nm = NoiseModel::ideal();
         let mut rng = StdRng::seed_from_u64(0);
+        let mut hits = 0;
         for _ in 0..100 {
-            assert!(nm.sample_gate_errors(&Gate::H, &[0], &mut rng).is_empty());
+            nm.for_each_gate_error(&Gate::H, &[0], &mut rng, |_, _| hits += 1);
             assert!(nm.sample_readout(true, &mut rng));
-            assert!(nm.sample_idle_errors(5, &mut rng).is_empty());
+            nm.for_each_idle_error(5, &mut rng, |_, _| hits += 1);
         }
+        assert_eq!(hits, 0);
     }
 
     #[test]
@@ -202,7 +212,7 @@ mod tests {
         let trials = 40_000;
         let mut hits = 0usize;
         for _ in 0..trials {
-            hits += nm.sample_gate_errors(&Gate::H, &[0], &mut rng).len();
+            nm.for_each_gate_error(&Gate::H, &[0], &mut rng, |_, _| hits += 1);
         }
         let rate = hits as f64 / trials as f64;
         assert!((rate - 0.25).abs() < 0.01, "observed rate {rate}");
@@ -220,7 +230,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut hits = 0usize;
         for _ in 0..10_000 {
-            hits += nm.sample_gate_errors(&Gate::CX, &[0, 1], &mut rng).len();
+            nm.for_each_gate_error(&Gate::CX, &[0, 1], &mut rng, |_, _| hits += 1);
         }
         // Expect ~0.5 errors per qubit x 2 qubits = ~1.0 per gate.
         let per_gate = hits as f64 / 10_000.0;

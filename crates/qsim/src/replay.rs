@@ -12,8 +12,8 @@
 //!   [`NoisyOp::Segment`] — a warm replay of lowered ops with no noise
 //!   bookkeeping at all.
 //! * Gates that do attach noise become [`NoisyOp::NoisyGate`]: the same
-//!   lowered op, followed by exactly the per-qubit draws
-//!   [`NoiseModel::sample_gate_errors`] makes.
+//!   lowered op, followed by the per-qubit draws of
+//!   [`NoiseModel::for_each_gate_error`].
 //!
 //! **Bit-identity is the contract**, asserted in the executor's tests and
 //! the plan proptests, and it holds by construction: every gate is lowered
@@ -27,11 +27,12 @@
 //! which channels draw randomness, see [`noise_signature`] — shapes the
 //! plan, so sweeping a rate reuses one compiled plan.
 
-use crate::noise::{NoiseModel, Pauli};
+use crate::noise::NoiseModel;
 use crate::plan::{lower, PlannedOp};
 use crate::state::StateVector;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
+use qcir::gate::Gate;
 use rand::Rng;
 
 /// Which noise channels are structurally live (rate ≠ 0): bit 0 =
@@ -51,15 +52,14 @@ pub enum NoisyOp {
     /// A maximal run of gates that draw no randomness, replayed warm.
     Segment(Vec<PlannedOp>),
     /// A gate whose arity-class depolarizing rate is live: the kernel,
-    /// then per-qubit error draws in operand order (exactly what
-    /// [`NoiseModel::sample_gate_errors`] does).
+    /// then [`NoiseModel::for_each_gate_error`]'s per-qubit draws.
     NoisyGate {
         /// The lowered gate (`None` for the identity, which still draws).
         kernel: Option<PlannedOp>,
         /// The gate's operands, in gate order (the draw order).
         qubits: Vec<usize>,
-        /// `true` for one-qubit gates (selects `one_qubit_depol`).
-        one_q: bool,
+        /// The gate itself (its arity selects the depolarizing rate).
+        gate: Gate,
     },
     /// Computational-basis measurement, with readout error applied.
     Measure {
@@ -80,15 +80,15 @@ pub enum NoisyOp {
         kernel: Option<PlannedOp>,
         /// The gate's operands, in gate order.
         qubits: Vec<usize>,
-        /// `true` for one-qubit gates.
-        one_q: bool,
+        /// The gate itself (its arity selects the depolarizing rate).
+        gate: Gate,
         /// Classical bit the condition reads.
         clbit: usize,
         /// Value the bit must hold for the gate to apply.
         value: bool,
     },
     /// A barrier moment with idle noise live: per-qubit idle draws
-    /// (exactly [`NoiseModel::sample_idle_errors`]).
+    /// ([`NoiseModel::for_each_idle_error`]).
     Idle,
 }
 
@@ -128,7 +128,7 @@ impl NoisyPlan {
                         ops.push(NoisyOp::NoisyGate {
                             kernel: lower(*gate, qubits),
                             qubits: qubits.to_vec(),
-                            one_q,
+                            gate: *gate,
                         });
                     } else {
                         // The sampler early-returns on a zero rate — no
@@ -148,7 +148,7 @@ impl NoisyPlan {
                     ops.push(NoisyOp::Cond {
                         kernel: lower(*gate, qubits),
                         qubits: qubits.to_vec(),
-                        one_q: gate.num_qubits() == 1,
+                        gate: *gate,
                         clbit: *clbit,
                         value: *value,
                     });
@@ -231,12 +231,12 @@ impl NoisyPlan {
                 NoisyOp::NoisyGate {
                     kernel,
                     qubits,
-                    one_q,
+                    gate,
                 } => {
                     if let Some(op) = kernel {
                         op.apply(sv);
                     }
-                    depolarize(sv, noise, rng, qubits, *one_q);
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
                 }
                 NoisyOp::Measure { qubit, clbit } => {
                     let raw = sv.measure(*qubit, rng);
@@ -247,7 +247,7 @@ impl NoisyPlan {
                 NoisyOp::Cond {
                     kernel,
                     qubits,
-                    one_q,
+                    gate,
                     clbit,
                     value,
                 } => {
@@ -255,42 +255,13 @@ impl NoisyPlan {
                         if let Some(op) = kernel {
                             op.apply(sv);
                         }
-                        depolarize(sv, noise, rng, qubits, *one_q);
+                        noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
                     }
                 }
                 NoisyOp::Idle => {
-                    for (q, pauli) in noise.sample_idle_errors(self.num_qubits, rng) {
-                        sv.apply_pauli(q, pauli);
-                    }
+                    noise.for_each_idle_error(self.num_qubits, rng, |q, p| sv.apply_pauli(q, p));
                 }
             }
-        }
-    }
-}
-
-/// Post-gate depolarizing draws, matching
-/// [`NoiseModel::sample_gate_errors`]'s stream exactly: same rate choice,
-/// same per-qubit order, same draws. Errors apply inline instead of being
-/// collected first — a Pauli application reads no randomness, so the
-/// interleaving cannot perturb the stream.
-fn depolarize(
-    sv: &mut StateVector,
-    noise: &NoiseModel,
-    rng: &mut impl Rng,
-    qubits: &[usize],
-    one_q: bool,
-) {
-    let p = if one_q {
-        noise.one_qubit_depol
-    } else {
-        noise.two_qubit_depol
-    };
-    if p == 0.0 {
-        return;
-    }
-    for &q in qubits {
-        if rng.gen_bool(p) {
-            sv.apply_pauli(q, Pauli::random(rng));
         }
     }
 }
@@ -298,7 +269,6 @@ fn depolarize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qcir::gate::Gate;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -317,9 +287,7 @@ mod tests {
             match op {
                 Op::Gate { gate, qubits } => {
                     sv.apply_gate(*gate, qubits);
-                    for (q, pauli) in noise.sample_gate_errors(gate, qubits, rng) {
-                        sv.apply_pauli(q, pauli);
-                    }
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
                 }
                 Op::CondGate {
                     gate,
@@ -329,9 +297,7 @@ mod tests {
                 } => {
                     if clbits.bit(*clbit) == *value {
                         sv.apply_gate(*gate, qubits);
-                        for (q, pauli) in noise.sample_gate_errors(gate, qubits, rng) {
-                            sv.apply_pauli(q, pauli);
-                        }
+                        noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
                     }
                 }
                 Op::Measure { qubit, clbit } => {
@@ -340,9 +306,7 @@ mod tests {
                 }
                 Op::Reset { qubit } => sv.reset(*qubit, rng),
                 Op::Barrier { .. } => {
-                    for (q, pauli) in noise.sample_idle_errors(sv.num_qubits(), rng) {
-                        sv.apply_pauli(q, pauli);
-                    }
+                    noise.for_each_idle_error(sv.num_qubits(), rng, |q, p| sv.apply_pauli(q, p));
                 }
             }
         }

@@ -11,6 +11,13 @@
 //! across generators, so it costs `O(n/64)`; a measurement costs
 //! `O(n²/64)`.
 //!
+//! The tableau is the reference engine for Clifford jobs. The executor
+//! runs it once per job to compile a [`crate::frame::FrameProgram`], whose
+//! shots propagate only a Pauli frame and are bit-identical to running
+//! every shot here. Jobs the frame sampler cannot take (a classically
+//! conditioned non-Pauli gate) still run every shot on the tableau, and
+//! the tableau stays the oracle the frame path is tested against.
+//!
 //! References: S. Aaronson and D. Gottesman, "Improved simulation of
 //! stabilizer circuits", Phys. Rev. A 70, 052328 (2004); C. Gidney, "Stim:
 //! a fast stabilizer circuit simulator", Quantum 5, 497 (2021).
@@ -344,25 +351,67 @@ impl StabilizerSim {
         phase % 4 == 2
     }
 
+    /// The pivot of a Z-measurement of `q`: the first stabilizer
+    /// anticommuting with Z_q, as its generator word and bit, or `None`
+    /// when the outcome is determined.
+    fn pivot(&self, q: usize) -> Option<(usize, u64)> {
+        let (block, stride) = (self.block, 2 * self.block);
+        let xq = &self.xs[q * stride..][..stride];
+        let pw = (block..stride).find(|&w| xq[w] != 0)?;
+        Some((pw, 1u64 << xq[pw].trailing_zeros()))
+    }
+
+    /// Appends the Pauli part of the stabilizer a Z-measurement of `q`
+    /// would collapse on to `out`: `ceil(n / 64)` X words, then as many Z
+    /// words, with qubit `j` at bit `j % 64` of word `j / 64`. Returns
+    /// `false`, appending nothing, when the outcome is determined.
+    ///
+    /// The Pauli-frame sampler ([`crate::frame`]) multiplies a shot's frame
+    /// by this stabilizer to turn the reference outcome into a drawn one.
+    pub(crate) fn push_pivot(&self, q: usize, out: &mut Vec<u64>) -> bool {
+        let Some((pw, bit)) = self.pivot(q) else {
+            return false;
+        };
+        let (start, stride) = (out.len(), 2 * self.block);
+        out.resize(start + stride, 0);
+        let (x, z) = out[start..].split_at_mut(self.block);
+        for j in 0..self.n {
+            let column = j * stride + pw;
+            let at = 1u64 << (j % 64);
+            if self.xs[column] & bit != 0 {
+                x[j / 64] |= at;
+            }
+            if self.zs[column] & bit != 0 {
+                z[j / 64] |= at;
+            }
+        }
+        true
+    }
+
     /// Measures qubit `q` in the Z basis, collapsing the state.
     ///
     /// A random outcome draws exactly one `gen_bool(0.5)`; a deterministic
     /// one draws nothing.
     pub fn measure(&mut self, q: usize, rng: &mut impl Rng) -> bool {
+        self.measure_with(q, || rng.gen_bool(0.5))
+    }
+
+    /// Measures qubit `q` in the Z basis, collapsing the state. A random
+    /// outcome is `draw()`, called once after the collapse; a
+    /// deterministic outcome never calls it.
+    pub(crate) fn measure_with(&mut self, q: usize, draw: impl FnOnce() -> bool) -> bool {
         let (n, block, stride) = (self.n, self.block, 2 * self.block);
-        let xq = &self.xs[q * stride..][..stride];
         // The pivot p is the first stabilizer anticommuting with Z_q.
-        let Some(pw) = (block..stride).find(|&w| xq[w] != 0) else {
+        let Some((pw, bit)) = self.pivot(q) else {
             return self.determined_outcome(q);
         };
-        let bit = 1u64 << xq[pw].trailing_zeros();
         // Destabilizer p - n is the same bit one block earlier.
         let dw = pw - block;
         // Aaronson–Gottesman step: multiply every anticommuting generator
         // EXCEPT p and p - n by p. Including p - n is tempting (it is
         // overwritten below anyway) but wrong: its product with p can carry
         // an imaginary phase.
-        self.mask.copy_from_slice(xq);
+        self.mask.copy_from_slice(&self.xs[q * stride..][..stride]);
         self.mask[pw] &= !bit;
         self.mask[dw] &= !bit;
         self.lo.fill(0);
@@ -399,7 +448,7 @@ impl StabilizerSim {
         }
         put(&mut self.rs[dw], bit, pivot_sign);
         // New stabilizer p = ±Z_q with a random sign.
-        let outcome = rng.gen_bool(0.5);
+        let outcome = draw();
         self.zs[q * stride + pw] |= bit;
         put(&mut self.rs[pw], bit, outcome);
         outcome

@@ -8,6 +8,9 @@
 //! * Tableau shots: `StabilizerSim::run_circuit_into` keeps its measurement
 //!   scratch in the tableau, so a warm distance-5 surface-code memory shot
 //!   (49 qubits, 121 measurements and resets) allocates nothing.
+//! * Pauli-frame shots: `FrameProgram::run_shot` draws its noise through
+//!   the non-allocating visitors, so a warm distance-5 frame shot with
+//!   errors firing allocates nothing either.
 //!
 //! These pin the properties so a future refactor cannot quietly
 //! reintroduce a per-gate or per-measurement allocation on a simulator hot
@@ -18,7 +21,8 @@ use qcir::circuit::Op;
 use qcir::gate::Gate;
 use qcir::math::Matrix;
 use qec::SurfaceCode;
-use qsim::noise::Pauli;
+use qsim::frame::FrameProgram;
+use qsim::noise::{NoiseModel, Pauli};
 use qsim::stabilizer::StabilizerSim;
 use qsim::state::StateVector;
 use qsim::word::OutcomeWord;
@@ -164,5 +168,29 @@ fn warm_tableau_memory_shot_allocates_nothing() {
     assert_eq!(
         min_allocs, 0,
         "a warm tableau memory shot allocated {min_allocs} time(s)"
+    );
+}
+
+#[test]
+fn warm_frame_memory_shot_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let circuit = SurfaceCode::new(5).memory_circuit(2).circuit;
+    // High enough that several gate errors fire in every shot.
+    let noise = NoiseModel::uniform_depolarizing(0.05);
+    let program = FrameProgram::compile(&circuit).expect("memory circuits are Clifford");
+    let mut frame = program.frame();
+    let mut rng = StdRng::seed_from_u64(6);
+    let mut word = OutcomeWord::zero();
+    // Warm up: the first shot may size the outcome word.
+    program.run_shot(&mut frame, &noise, &mut rng, &mut word);
+
+    let min_allocs = min_allocations(|| {
+        for _ in 0..3 {
+            program.run_shot(&mut frame, &noise, &mut rng, &mut word);
+        }
+    });
+    assert_eq!(
+        min_allocs, 0,
+        "a warm frame memory shot allocated {min_allocs} time(s)"
     );
 }

@@ -246,9 +246,7 @@ fn bench_noisy_replay_16q(c: &mut Criterion) {
                 word.clear();
                 for (g, qs) in &gates {
                     sv.apply_gate(*g, qs);
-                    for (q, pauli) in noise.sample_gate_errors(g, qs, &mut rng) {
-                        pauli.apply(&mut sv, q);
-                    }
+                    noise.for_each_gate_error(g, qs, &mut rng, |q, pauli| pauli.apply(&mut sv, q));
                 }
                 for &(qubit, clbit) in &measures {
                     let raw = sv.measure(qubit, &mut rng);

@@ -358,7 +358,7 @@ impl Server {
         // Front-loaded validation: parse, check, and resolve before the
         // job can consume a queue slot.
         let program = qcir::dsl::parse(source).map_err(|d| ServeError::Check(vec![d]))?;
-        let outcome = qcir::check::check(&program, &qcir::api::ApiRegistry::standard());
+        let outcome = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
         let circuit = match outcome.circuit {
             Some(c) => c,
             None => return Err(ServeError::Check(outcome.diagnostics)),

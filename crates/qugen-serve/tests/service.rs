@@ -200,3 +200,33 @@ fn per_job_backend_overrides_ride_the_wire() {
         Some("qubit_cap")
     );
 }
+
+/// Hostile angle nesting (100,000 parentheses, 100,000 unary minuses, a
+/// 1,000,000-term sum) is refused at submit with a typed `check` error;
+/// the daemon neither overflows its stack nor stops answering.
+#[test]
+fn hostile_angle_nesting_is_a_typed_refusal() {
+    let server = Server::new(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let angles = [
+        format!("{}1{}", "(".repeat(100_000), ")".repeat(100_000)),
+        format!("{}1", "-".repeat(100_000)),
+        vec!["1"; 1_000_000].join("+"),
+    ];
+    for angle in angles {
+        let source = format!(
+            "import qasmlite 2.1;\nqreg q[1];\ncreg c[1];\nrz({angle}) q[0];\nmeasure q -> c;\n"
+        );
+        let line = format!(
+            "{{\"op\":\"submit\",\"source\":{},\"shots\":8,\"seed\":1}}",
+            Json::Str(source).encode()
+        );
+        let refused = parse(&server.handle_line(&line));
+        assert_eq!(refused.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(refused.get("error").unwrap().as_str(), Some("check"));
+    }
+    let stats = parse(&server.handle_line("{\"op\":\"stats\"}"));
+    assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+}
