@@ -646,6 +646,14 @@ mod tests {
         let mut cliff = Circuit::new(2, 0);
         cliff.h(0).cx(0, 1).s(1);
         assert!(cliff.is_clifford());
+        // Measurement and classical control stay Clifford; a conditioned
+        // non-Clifford gate does not.
+        let mut dynamic = Circuit::new(1, 1);
+        dynamic.measure(0, 0);
+        dynamic.cond_gate(Gate::X, &[0], 0, true);
+        assert!(dynamic.is_clifford());
+        dynamic.cond_gate(Gate::T, &[0], 0, true);
+        assert!(!dynamic.is_clifford());
     }
 
     #[test]

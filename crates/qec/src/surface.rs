@@ -560,7 +560,7 @@ mod tests {
             assert_eq!(mem.data_bit(0), rounds * num_z);
             assert_eq!(mem.z_syndrome_bit(1, 0), num_z);
             // Clifford throughout: tableau-simulable at any distance.
-            assert!(qsim::backend::classify(&mem.circuit).is_clifford());
+            assert!(mem.circuit.is_clifford());
         }
         // Distance 5 is the headline: 49 qubits in one Clifford circuit.
         assert_eq!(
@@ -611,7 +611,7 @@ mod tests {
         let mem = code.memory_circuit(2);
         assert_eq!(mem.circuit.num_clbits(), 2 * 24 + 49);
         assert_eq!(mem.circuit.num_qubits(), 49 + code.num_stabilizers());
-        assert!(qsim::backend::classify(&mem.circuit).is_clifford());
+        assert!(mem.circuit.is_clifford());
         // Spilled bits round-trip through the unpackers.
         let mut word = OutcomeWord::zero();
         word.set_bit(mem.data_bit(48), true);

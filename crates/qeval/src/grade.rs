@@ -62,7 +62,7 @@ pub const GRADING_DENSE_QUBIT_CAP: usize = 22;
 ///
 /// The [`SimError`] of the first refusing rule.
 pub fn grading_backend(circuit: &Circuit) -> Result<BackendChoice, SimError> {
-    if backend::classify(circuit).is_clifford() {
+    if circuit.is_clifford() {
         backend::resolve(BackendChoice::Tableau, circuit)?;
         Ok(BackendChoice::Auto)
     } else if circuit.num_qubits() <= GRADING_DENSE_QUBIT_CAP {

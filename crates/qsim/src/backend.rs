@@ -1,4 +1,4 @@
-//! The unified simulation-backend layer.
+//! Backend dispatch: which engine runs a circuit.
 //!
 //! Every way of executing a circuit in this workspace goes through one of
 //! three engines: the dense state vector ([`crate::state::StateVector`],
@@ -6,12 +6,10 @@
 //! Aaronson–Gottesman tableau ([`crate::stabilizer::StabilizerSim`],
 //! polynomial, Clifford-only), or the matrix-product state
 //! ([`crate::mps::MpsState`], polynomial in qubits at fixed bond dimension
-//! χ, arbitrary gates but approximate once entanglement exceeds χ). This
-//! module gives them a common face:
+//! χ, arbitrary gates but approximate once entanglement exceeds χ). The
+//! executor drives them directly ([`crate::exec`]); this module picks one:
 //!
-//! * [`classify`] — a circuit-analysis pass that buckets a [`Circuit`] into
-//!   a [`CircuitClass`] (Clifford unitary / Clifford with measurement and
-//!   classical control / general) by walking its ops;
+//! * [`Circuit::is_clifford`] decides tableau eligibility, and
 //!   [`interaction_range`] measures how far apart multi-qubit gates reach,
 //!   the locality signal the MPS heuristic keys on.
 //! * [`BackendChoice`] — the caller-facing selector: [`BackendChoice::Auto`]
@@ -22,10 +20,6 @@
 //!   cannot run the circuit.
 //! * [`resolve`] — the dispatch rule itself, returning a [`BackendKind`] or
 //!   a typed [`SimError`] instead of panicking at a capacity cap.
-//! * [`Backend`] / [`BackendState`] — the object-safe traits the executor
-//!   drives: gate application, Pauli error injection, measurement, reset
-//!   and reinitialisation, implemented by [`DenseBackend`],
-//!   [`TableauBackend`] and [`MpsBackend`].
 //!
 //! # Dispatch rules (`BackendChoice::Auto`)
 //!
@@ -50,22 +44,18 @@
 //! the error variant are gone.)
 //!
 //! Pauli noise channels ([`crate::noise::NoiseModel`]) are
-//! backend-agnostic: every state implements
-//! [`BackendState::apply_pauli`], so depolarizing/idle errors and classical
-//! readout flips work identically on all three engines.
+//! backend-agnostic: every engine applies Pauli errors, so
+//! depolarizing/idle errors and classical readout flips work identically
+//! on all three.
 
-use crate::mps::MpsState;
-use crate::noise::Pauli;
-use crate::stabilizer::StabilizerSim;
-use crate::state::StateVector;
 use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
-use rand::RngCore;
 use std::fmt;
 use std::str::FromStr;
 
 /// Hard cap on dense simulation (the amplitude vector would exceed a
-/// gigabyte past this). Mirrors the assertion in [`StateVector::zero`].
+/// gigabyte past this). Mirrors the assertion in
+/// [`crate::state::StateVector::zero`].
 pub const DENSE_QUBIT_CAP: usize = 26;
 
 /// Sanity cap on tableau simulation. Memory is quadratic in qubits (X and
@@ -185,61 +175,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// The result of the circuit-analysis pass: how much simulator structure a
-/// circuit exposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CircuitClass {
-    /// Clifford gates only; no measurement, reset or classical control.
-    /// Stabilizer-simulable end to end, and the final state is a pure
-    /// stabilizer state.
-    CliffordUnitary,
-    /// Clifford gates plus measurement / reset / classically-conditioned
-    /// Clifford gates. Still polynomial on the tableau (measurements are
-    /// `O(n²/64)`).
-    CliffordDynamic,
-    /// Contains at least one non-Clifford gate; only the dense engine can
-    /// run it.
-    General,
-}
-
-impl CircuitClass {
-    /// `true` when the tableau engine can simulate this class.
-    pub fn is_clifford(&self) -> bool {
-        !matches!(self, CircuitClass::General)
-    }
-}
-
-/// Walks the op list and classifies the circuit for backend dispatch.
-///
-/// Conditionally-applied gates count like unconditional ones (the tableau
-/// engine evaluates the classical condition per trajectory); barriers are
-/// ignored.
-pub fn classify(circuit: &Circuit) -> CircuitClass {
-    let mut dynamic = false;
-    for op in circuit.ops() {
-        match op {
-            Op::Gate { gate, .. } => {
-                if !gate.is_clifford() {
-                    return CircuitClass::General;
-                }
-            }
-            Op::CondGate { gate, .. } => {
-                if !gate.is_clifford() {
-                    return CircuitClass::General;
-                }
-                dynamic = true;
-            }
-            Op::Measure { .. } | Op::Reset { .. } => dynamic = true,
-            Op::Barrier { .. } => {}
-        }
-    }
-    if dynamic {
-        CircuitClass::CliffordDynamic
-    } else {
-        CircuitClass::CliffordUnitary
-    }
-}
 
 /// The first non-Clifford gate in program order, if any (for error
 /// reporting).
@@ -433,15 +368,6 @@ impl BackendKind {
             BackendKind::Mps { .. } => "mps",
         }
     }
-
-    /// Instantiates the engine behind the [`Backend`] trait.
-    pub fn build(&self) -> Box<dyn Backend> {
-        match *self {
-            BackendKind::Dense => Box::new(DenseBackend),
-            BackendKind::Tableau => Box::new(TableauBackend),
-            BackendKind::Mps { max_bond } => Box::new(MpsBackend::new(max_bond)),
-        }
-    }
 }
 
 impl fmt::Display for BackendKind {
@@ -501,7 +427,7 @@ pub fn resolve(choice: BackendChoice, circuit: &Circuit) -> Result<BackendKind, 
         BackendChoice::Tableau => tableau_ok(),
         BackendChoice::Mps { max_bond } => mps_ok(max_bond),
         BackendChoice::Auto => {
-            if classify(circuit).is_clifford() && n > AUTO_DENSE_MAX_QUBITS {
+            if circuit.is_clifford() && n > AUTO_DENSE_MAX_QUBITS {
                 tableau_ok()
             } else if n > DENSE_QUBIT_CAP && interaction_range(circuit) <= AUTO_MPS_MAX_RANGE {
                 // General circuit past the dense cap but with short-range
@@ -515,294 +441,9 @@ pub fn resolve(choice: BackendChoice, circuit: &Circuit) -> Result<BackendKind, 
     }
 }
 
-/// A simulation engine: validates circuits and mints fresh states.
-///
-/// Object-safe so the executor can hold `Box<dyn Backend>`; `Send + Sync`
-/// so resolved backends can be shared across shot-execution threads.
-pub trait Backend: Send + Sync {
-    /// Display name (`"dense"` / `"tableau"`).
-    fn name(&self) -> &'static str;
-
-    /// The engine's qubit capacity.
-    fn qubit_cap(&self) -> usize;
-
-    /// Checks that this engine can run `circuit`.
-    ///
-    /// # Errors
-    ///
-    /// The same [`SimError`] conditions as [`resolve`] for this engine.
-    fn supports(&self, circuit: &Circuit) -> Result<(), SimError>;
-
-    /// Creates the |0…0> state on `num_qubits` qubits.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::QubitCapExceeded`] past [`Backend::qubit_cap`].
-    fn init(&self, num_qubits: usize) -> Result<Box<dyn BackendState>, SimError>;
-}
-
-/// One simulated register mid-trajectory: the operations the executor's
-/// shot loop needs, shared by both engines.
-///
-/// Gate application is infallible here by contract: the executor validates
-/// the whole circuit against the backend ([`Backend::supports`] /
-/// [`resolve`]) before the first shot, so per-op `Result` plumbing would
-/// only re-check what is already known.
-pub trait BackendState: Send {
-    /// Number of qubits.
-    fn num_qubits(&self) -> usize;
-
-    /// Resets the register to |0…0> in place (so trajectory loops reuse the
-    /// allocation instead of re-creating the state per shot).
-    fn reinit(&mut self);
-
-    /// Applies a gate in gate-operand order.
-    ///
-    /// # Panics
-    ///
-    /// Panics on operand errors or (tableau) non-Clifford gates; both are
-    /// excluded by the pre-run validation contract above.
-    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]);
-
-    /// Injects a single-qubit Pauli error (the noise-channel hot path).
-    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli);
-
-    /// Measures `qubit` in the computational basis, collapsing the state.
-    fn measure(&mut self, qubit: usize, rng: &mut dyn RngCore) -> bool;
-
-    /// Resets `qubit` to |0>.
-    fn reset(&mut self, qubit: usize, rng: &mut dyn RngCore);
-
-    /// Upper bound on the fidelity loss this state has accumulated from
-    /// engine approximations (the MPS truncation ledger's rigorous
-    /// `(Σ√(2δ))²` bound, maximized across the trajectories the state has
-    /// run). Exact engines return 0.
-    fn truncation_error(&self) -> f64 {
-        0.0
-    }
-}
-
-/// The dense state-vector engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseBackend;
-
-impl Backend for DenseBackend {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn qubit_cap(&self) -> usize {
-        DENSE_QUBIT_CAP
-    }
-
-    fn supports(&self, circuit: &Circuit) -> Result<(), SimError> {
-        resolve(BackendChoice::Dense, circuit).map(|_| ())
-    }
-
-    fn init(&self, num_qubits: usize) -> Result<Box<dyn BackendState>, SimError> {
-        if num_qubits > DENSE_QUBIT_CAP {
-            return Err(SimError::QubitCapExceeded {
-                backend: "dense",
-                num_qubits,
-                cap: DENSE_QUBIT_CAP,
-            });
-        }
-        Ok(Box::new(DenseState(StateVector::zero(num_qubits))))
-    }
-}
-
-/// [`BackendState`] over a [`StateVector`].
-#[derive(Debug, Clone)]
-struct DenseState(StateVector);
-
-impl BackendState for DenseState {
-    fn num_qubits(&self) -> usize {
-        self.0.num_qubits()
-    }
-
-    fn reinit(&mut self) {
-        self.0.reinit();
-    }
-
-    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
-        self.0.apply_gate(gate, qubits);
-    }
-
-    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli) {
-        self.0.apply_pauli(qubit, pauli);
-    }
-
-    fn measure(&mut self, qubit: usize, mut rng: &mut dyn RngCore) -> bool {
-        self.0.measure(qubit, &mut rng)
-    }
-
-    fn reset(&mut self, qubit: usize, mut rng: &mut dyn RngCore) {
-        self.0.reset(qubit, &mut rng);
-    }
-}
-
-/// The stabilizer-tableau engine.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TableauBackend;
-
-impl Backend for TableauBackend {
-    fn name(&self) -> &'static str {
-        "tableau"
-    }
-
-    fn qubit_cap(&self) -> usize {
-        TABLEAU_QUBIT_CAP
-    }
-
-    fn supports(&self, circuit: &Circuit) -> Result<(), SimError> {
-        resolve(BackendChoice::Tableau, circuit).map(|_| ())
-    }
-
-    fn init(&self, num_qubits: usize) -> Result<Box<dyn BackendState>, SimError> {
-        if num_qubits > TABLEAU_QUBIT_CAP {
-            return Err(SimError::QubitCapExceeded {
-                backend: "tableau",
-                num_qubits,
-                cap: TABLEAU_QUBIT_CAP,
-            });
-        }
-        Ok(Box::new(TableauState(StabilizerSim::new(num_qubits))))
-    }
-}
-
-/// [`BackendState`] over a [`StabilizerSim`].
-#[derive(Debug, Clone)]
-struct TableauState(StabilizerSim);
-
-impl BackendState for TableauState {
-    fn num_qubits(&self) -> usize {
-        self.0.num_qubits()
-    }
-
-    fn reinit(&mut self) {
-        self.0.reinit();
-    }
-
-    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
-        self.0.apply_gate(gate, qubits);
-    }
-
-    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli) {
-        match pauli {
-            Pauli::X => self.0.x_gate(qubit),
-            Pauli::Y => self.0.y_gate(qubit),
-            Pauli::Z => self.0.z_gate(qubit),
-        }
-    }
-
-    fn measure(&mut self, qubit: usize, mut rng: &mut dyn RngCore) -> bool {
-        self.0.measure(qubit, &mut rng)
-    }
-
-    fn reset(&mut self, qubit: usize, mut rng: &mut dyn RngCore) {
-        self.0.reset(qubit, &mut rng);
-    }
-}
-
-/// The matrix-product-state engine with a configured bond bound.
-#[derive(Debug, Clone, Copy)]
-pub struct MpsBackend {
-    max_bond: usize,
-}
-
-impl MpsBackend {
-    /// An MPS engine truncating at bond dimension `max_bond` (clamped ≥ 1).
-    pub fn new(max_bond: usize) -> Self {
-        MpsBackend {
-            max_bond: max_bond.max(1),
-        }
-    }
-
-    /// The configured bond bound.
-    pub fn max_bond(&self) -> usize {
-        self.max_bond
-    }
-}
-
-impl Default for MpsBackend {
-    fn default() -> Self {
-        MpsBackend::new(MPS_DEFAULT_MAX_BOND)
-    }
-}
-
-impl Backend for MpsBackend {
-    fn name(&self) -> &'static str {
-        "mps"
-    }
-
-    fn qubit_cap(&self) -> usize {
-        MPS_QUBIT_CAP
-    }
-
-    fn supports(&self, circuit: &Circuit) -> Result<(), SimError> {
-        resolve(
-            BackendChoice::Mps {
-                max_bond: self.max_bond,
-            },
-            circuit,
-        )
-        .map(|_| ())
-    }
-
-    fn init(&self, num_qubits: usize) -> Result<Box<dyn BackendState>, SimError> {
-        if num_qubits > MPS_QUBIT_CAP {
-            return Err(SimError::QubitCapExceeded {
-                backend: "mps",
-                num_qubits,
-                cap: MPS_QUBIT_CAP,
-            });
-        }
-        Ok(Box::new(MpsBackendState(MpsState::new(
-            num_qubits,
-            self.max_bond,
-        ))))
-    }
-}
-
-/// [`BackendState`] over an [`MpsState`].
-#[derive(Debug, Clone)]
-struct MpsBackendState(MpsState);
-
-impl BackendState for MpsBackendState {
-    fn num_qubits(&self) -> usize {
-        self.0.num_qubits()
-    }
-
-    fn reinit(&mut self) {
-        self.0.reinit();
-    }
-
-    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
-        self.0.apply_gate(gate, qubits);
-    }
-
-    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli) {
-        self.0.apply_pauli(qubit, pauli);
-    }
-
-    fn measure(&mut self, qubit: usize, mut rng: &mut dyn RngCore) -> bool {
-        self.0.measure(qubit, &mut rng)
-    }
-
-    fn reset(&mut self, qubit: usize, mut rng: &mut dyn RngCore) {
-        self.0.reset(qubit, &mut rng);
-    }
-
-    fn truncation_error(&self) -> f64 {
-        self.0.truncation_error()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn ghz(n: usize) -> Circuit {
         let mut qc = Circuit::new(n, n);
@@ -815,24 +456,11 @@ mod tests {
     }
 
     #[test]
-    fn classify_buckets() {
-        let mut unitary = Circuit::new(2, 0);
-        unitary.h(0).cx(0, 1);
-        assert_eq!(classify(&unitary), CircuitClass::CliffordUnitary);
-        assert!(classify(&unitary).is_clifford());
-
-        assert_eq!(classify(&ghz(3)), CircuitClass::CliffordDynamic);
-
+    fn first_non_clifford_names_the_offending_gate() {
+        assert_eq!(first_non_clifford(&ghz(3)), None);
         let mut general = Circuit::new(2, 2);
         general.h(0).t(0).cx(0, 1);
-        assert_eq!(classify(&general), CircuitClass::General);
-        assert!(!classify(&general).is_clifford());
         assert_eq!(first_non_clifford(&general), Some(Gate::T));
-
-        let mut cond = Circuit::new(1, 1);
-        cond.measure(0, 0);
-        cond.cond_gate(Gate::T, &[0], 0, true);
-        assert_eq!(classify(&cond), CircuitClass::General);
     }
 
     #[test]
@@ -869,7 +497,7 @@ mod tests {
             qc.t(q);
             qc.cx(q, q + 1);
         }
-        assert_eq!(classify(&qc), CircuitClass::General);
+        assert!(!qc.is_clifford());
         assert_eq!(interaction_range(&qc), 1);
         assert_eq!(
             resolve(BackendChoice::Auto, &qc).unwrap(),
@@ -1025,30 +653,6 @@ mod tests {
     }
 
     #[test]
-    fn both_states_agree_on_a_deterministic_trajectory() {
-        // |11> via X on both qubits, measured: identical on every engine.
-        for kind in [
-            BackendKind::Dense,
-            BackendKind::Tableau,
-            BackendKind::Mps { max_bond: 4 },
-        ] {
-            let backend = kind.build();
-            let mut state = backend.init(2).unwrap();
-            let mut rng = StdRng::seed_from_u64(7);
-            state.apply_gate(Gate::X, &[0]);
-            state.apply_gate(Gate::X, &[1]);
-            assert!(state.measure(0, &mut rng), "{kind}");
-            state.apply_pauli(0, Pauli::X);
-            assert!(!state.measure(0, &mut rng), "{kind}");
-            assert!(state.measure(1, &mut rng), "{kind}");
-            state.reset(1, &mut rng);
-            assert!(!state.measure(1, &mut rng), "{kind}");
-            state.reinit();
-            assert!(!state.measure(0, &mut rng), "{kind} after reinit");
-        }
-    }
-
-    #[test]
     fn error_codes_and_payloads_are_machine_readable() {
         // A short-range general circuit past the MPS qubit cap must name
         // the resolved backend ("mps") and its cap (1024) in the payload —
@@ -1090,18 +694,5 @@ mod tests {
             budget: 0.01,
         };
         assert!(e.to_string().contains("truncation budget"));
-    }
-
-    #[test]
-    fn mps_backend_reports_truncation_through_the_trait() {
-        let backend = MpsBackend::new(1);
-        let mut state = backend.init(2).unwrap();
-        state.apply_gate(Gate::H, &[0]);
-        state.apply_gate(Gate::CX, &[0, 1]);
-        assert!(state.truncation_error() > 0.4);
-        // Exact engines report zero.
-        let mut dense = DenseBackend.init(2).unwrap();
-        dense.apply_gate(Gate::H, &[0]);
-        assert_eq!(dense.truncation_error(), 0.0);
     }
 }

@@ -13,6 +13,16 @@
 //! it, and fold their counts into the job's tally when they retire. With
 //! one worker the queue drains inline on the calling thread.
 //!
+//! # Shot sources
+//!
+//! Preparing a job picks how its shots are produced, exhaustively by
+//! engine: dense jobs sample a measure-at-end prefix or walk a
+//! [`CircuitPlan`] per shot (fused when noiseless,
+//! [`CircuitPlan::compile_noisy`] under noise); tableau jobs propagate a
+//! Pauli frame ([`crate::frame`]) or, when a conditioned non-Pauli gate
+//! rules that out, step a [`StabilizerSim`] per shot; MPS jobs sample a
+//! measure-at-end prefix or step an [`MpsState`] per shot.
+//!
 //! # Shot chunking and determinism
 //!
 //! Chunk `i` of a job draws from its own RNG seeded with
@@ -24,18 +34,19 @@
 //! single-threaded run for every `n`, and a pooled job is bit-identical to
 //! running it alone.
 
-use crate::backend::{self, BackendChoice, BackendKind, BackendState, SimError};
+use crate::backend::{self, BackendChoice, BackendKind, SimError};
 use crate::dist::{Counts, Distribution};
 use crate::frame::{FrameProgram, PauliFrame};
 use crate::job::JobSpec;
 use crate::lru::lock;
 use crate::mps::{MpsSampler, MpsState};
-use crate::noise::NoiseModel;
+use crate::noise::{NoiseModel, Pauli};
 use crate::plan::{self, CircuitPlan, PlanCache, PlanCacheStats};
-use crate::replay::NoisyPlan;
+use crate::stabilizer::StabilizerSim;
 use crate::state::StateVector;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
+use qcir::gate::Gate;
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Histogram};
 use qugen_telemetry::trace;
 use rand::rngs::StdRng;
@@ -349,12 +360,6 @@ impl Executor {
         PlanCache::get_or_compile(&self.plan_cache, circuit)
     }
 
-    /// The cached noisy replay plan for `circuit` under this executor's
-    /// noise model (compiling on first sight).
-    fn noisy_plan_for(&self, circuit: &Circuit) -> Arc<NoisyPlan> {
-        PlanCache::get_or_compile_noisy(&self.plan_cache, circuit, &self.config.noise)
-    }
-
     /// A snapshot of this executor's plan cache counters. With
     /// [`PlanCacheMode::Shared`] (the default) these cover every sharing
     /// executor in the process, not just this one.
@@ -453,7 +458,8 @@ impl Executor {
         budget: f64,
     ) -> Result<Task<'c>, SimError> {
         let kind = backend::resolve(choice, circuit)?;
-        let sampling_ok = !self.config.noise.is_noisy() && measures_only_at_end(circuit);
+        let noisy = self.config.noise.is_noisy();
+        let sampling_ok = !noisy && measures_only_at_end(circuit);
         let source = match kind {
             BackendKind::Dense if sampling_ok => {
                 let plan = self.plan_for(circuit);
@@ -464,20 +470,21 @@ impl Executor {
                     measure_map: plan.measure_map().to_vec(),
                 }
             }
-            // Noiseless dense circuits with mid-circuit measurement,
-            // conditionals or resets: per-shot trajectories, but driven by
-            // the cached fused plan instead of per-gate classification.
-            BackendKind::Dense if !self.config.noise.is_noisy() => ShotSource::PlannedTrajectory {
-                plan: self.plan_for(circuit),
+            // Every other dense job walks a cached plan per shot: the fused
+            // plan when noiseless (mid-circuit measurement, conditionals or
+            // resets), else the unfused noisy plan — bit-identical (state,
+            // clbits, RNG stream) to per-gate dispatch, minus the per-shot
+            // classification cost. Fusion would reassociate the noise
+            // channels, so noisy plans precompile dispatch, not algebra.
+            BackendKind::Dense if noisy => ShotSource::Planned {
+                plan: PlanCache::get_or_compile_noisy(
+                    &self.plan_cache,
+                    circuit,
+                    &self.config.noise,
+                ),
             },
-            // Noisy dense circuits: gates are lowered once into segments
-            // split at the live noise attachment sites and replayed per
-            // shot — bit-identical (state, clbits, RNG stream) to per-gate
-            // dispatch, minus the per-shot classification cost. Fusion
-            // would reassociate the noise channels, so this path
-            // precompiles dispatch, not algebra.
-            BackendKind::Dense => ShotSource::NoisyReplay {
-                plan: self.noisy_plan_for(circuit),
+            BackendKind::Dense => ShotSource::Planned {
+                plan: self.plan_for(circuit),
             },
             // Basis words are multi-word `OutcomeWord`s, so measure-at-end
             // MPS circuits keep the O(n·χ²)-per-shot sampling fast path at
@@ -490,14 +497,20 @@ impl Executor {
                     measure_map,
                 }
             }
+            BackendKind::Mps { max_bond } => ShotSource::Trajectory {
+                circuit,
+                engine: Engine::Mps(MpsState::new(circuit.num_qubits(), max_bond)),
+            },
             // Clifford circuits on the tableau: one reference pass, then a
             // Pauli frame per shot, bit-identical to per-shot tableau runs.
             // A conditioned non-Pauli gate keeps the per-shot tableau.
             BackendKind::Tableau => match FrameProgram::compile(circuit) {
                 Some(program) => ShotSource::Frame { program },
-                None => ShotSource::Trajectory { circuit },
+                None => ShotSource::Trajectory {
+                    circuit,
+                    engine: Engine::Tableau(StabilizerSim::new(circuit.num_qubits())),
+                },
             },
-            _ => ShotSource::Trajectory { circuit },
         };
         Ok(Task {
             source,
@@ -654,12 +667,7 @@ impl Executor {
                 sampler.draw_into(rng, basis);
                 pack_clbits(basis, measure_map, word);
             }),
-            (ShotSource::PlannedTrajectory { plan }, WorkerCtx::Dense(sv)) => {
-                record(shots, rng, counts, |rng, word| {
-                    plan.run_trajectory(sv, rng, word);
-                });
-            }
-            (ShotSource::NoisyReplay { plan }, WorkerCtx::Dense(sv)) => {
+            (ShotSource::Planned { plan }, WorkerCtx::Dense(sv)) => {
                 record(shots, rng, counts, |rng, word| {
                     plan.run_trajectory(sv, &self.config.noise, rng, word);
                 });
@@ -669,21 +677,22 @@ impl Executor {
                     program.run_shot(frame, &self.config.noise, rng, word);
                 });
             }
-            (ShotSource::Trajectory { circuit }, WorkerCtx::Engine(state)) => {
+            (ShotSource::Trajectory { circuit, .. }, WorkerCtx::Engine(engine)) => {
                 record(shots, rng, counts, |rng, word| {
-                    self.trajectory(circuit, state.as_mut(), rng, word);
+                    self.trajectory(circuit, engine, rng, word);
                 });
             }
             _ => unreachable!("worker contexts are built for their job's shot source"),
         }
     }
 
-    /// One full Monte-Carlo trajectory, writing the classical outcome into
-    /// the caller's scratch word (cleared first; any register width).
+    /// One full Monte-Carlo trajectory on a tableau or MPS engine, writing
+    /// the classical outcome into the caller's scratch word (cleared first;
+    /// any register width).
     fn trajectory(
         &self,
         circuit: &Circuit,
-        state: &mut dyn BackendState,
+        state: &mut Engine,
         rng: &mut StdRng,
         clbits: &mut OutcomeWord,
     ) {
@@ -716,7 +725,7 @@ impl Executor {
                     state.reset(*qubit, rng);
                 }
                 Op::Barrier { .. } => {
-                    let n = state.num_qubits();
+                    let n = circuit.num_qubits();
                     noise.for_each_idle_error(n, rng, |q, p| state.apply_pauli(q, p));
                 }
             }
@@ -829,19 +838,19 @@ enum ShotSource<'c> {
         sampler: Sampler,
         measure_map: Vec<(usize, usize)>,
     },
-    /// Monte-Carlo path on a compiled plan: noiseless dense circuits with
-    /// mid-circuit measurement/conditionals/resets.
-    PlannedTrajectory { plan: Arc<CircuitPlan> },
-    /// Monte-Carlo path on a noisy replay plan: dense circuits under a
-    /// noisy model replay lowered ops between noise insertion points,
-    /// bit-identical to per-gate dispatch.
-    NoisyReplay { plan: Arc<NoisyPlan> },
+    /// Monte-Carlo path on a compiled dense plan: fused for noiseless
+    /// circuits with mid-circuit measurement/conditionals/resets, unfused
+    /// with noise sites (bit-identical to per-gate dispatch) under noise.
+    Planned { plan: Arc<CircuitPlan> },
     /// Pauli-frame path: tableau jobs compiled against one reference
     /// sample, bit-identical to per-shot tableau trajectories.
     Frame { program: FrameProgram },
-    /// Monte-Carlo path through [`Executor::trajectory`] on the resolved
-    /// backend engine.
-    Trajectory { circuit: &'c Circuit },
+    /// Monte-Carlo path through [`Executor::trajectory`]; each worker
+    /// steps its own clone of the fresh `engine`.
+    Trajectory {
+        circuit: &'c Circuit,
+        engine: Engine,
+    },
 }
 
 impl ShotSource<'_> {
@@ -849,8 +858,8 @@ impl ShotSource<'_> {
     fn name(&self) -> &'static str {
         match self {
             ShotSource::Sampling { .. } => "sampling",
-            ShotSource::PlannedTrajectory { .. } => "planned",
-            ShotSource::NoisyReplay { .. } => "replay",
+            ShotSource::Planned { plan } if plan.noise_signature().is_some() => "replay",
+            ShotSource::Planned { .. } => "planned",
             ShotSource::Frame { .. } => "frame",
             ShotSource::Trajectory { .. } => "trajectory",
         }
@@ -896,19 +905,9 @@ impl Task<'_> {
     fn worker_ctx(&self) -> WorkerCtx {
         match &self.source {
             ShotSource::Sampling { .. } => WorkerCtx::Basis(OutcomeWord::zero()),
-            ShotSource::PlannedTrajectory { plan } => {
-                WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
-            }
-            ShotSource::NoisyReplay { plan } => {
-                WorkerCtx::Dense(StateVector::zero(plan.num_qubits()))
-            }
+            ShotSource::Planned { plan } => WorkerCtx::Dense(StateVector::zero(plan.num_qubits())),
             ShotSource::Frame { program } => WorkerCtx::Frame(program.frame()),
-            ShotSource::Trajectory { circuit } => WorkerCtx::Engine(
-                self.kind
-                    .build()
-                    .init(circuit.num_qubits())
-                    .expect("backend capacity pre-validated by resolve()"),
-            ),
+            ShotSource::Trajectory { engine, .. } => WorkerCtx::Engine(engine.clone()),
         }
     }
 }
@@ -923,20 +922,68 @@ struct Tally {
 
 /// A worker's reusable simulation context for one job: the basis scratch
 /// word of a sampler, a bare state vector for plan-driven trajectories, a
-/// Pauli frame for frame-sampled Clifford jobs, or a boxed backend engine
-/// for unfused ones.
+/// Pauli frame for frame-sampled Clifford jobs, or a per-shot engine.
 enum WorkerCtx {
     Basis(OutcomeWord),
     Dense(StateVector),
     Frame(PauliFrame),
-    Engine(Box<dyn BackendState>),
+    Engine(Engine),
 }
 
 impl WorkerCtx {
+    /// The MPS truncation ledger's rigorous `(Σ√(2δ))²` bound, maximized
+    /// across the trajectories this context ran; exact engines report 0.
     fn truncation_error(&self) -> f64 {
         match self {
-            WorkerCtx::Engine(state) => state.truncation_error(),
+            WorkerCtx::Engine(Engine::Mps(state)) => state.truncation_error(),
             _ => 0.0,
+        }
+    }
+}
+
+/// The engines [`Executor::trajectory`] steps op by op: the tableau for
+/// Clifford jobs the Pauli frame cannot run, and MPS for jobs off its
+/// sampling fast path. Gate application cannot fail: [`backend::resolve`]
+/// validated the circuit against the engine before the first shot.
+#[derive(Clone)]
+enum Engine {
+    Tableau(StabilizerSim),
+    Mps(MpsState),
+}
+
+impl Engine {
+    fn reinit(&mut self) {
+        match self {
+            Engine::Tableau(sim) => sim.reinit(),
+            Engine::Mps(state) => state.reinit(),
+        }
+    }
+
+    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
+        match self {
+            Engine::Tableau(sim) => sim.apply_gate(gate, qubits),
+            Engine::Mps(state) => state.apply_gate(gate, qubits),
+        }
+    }
+
+    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli) {
+        match self {
+            Engine::Tableau(sim) => sim.apply_gate(pauli.gate(), &[qubit]),
+            Engine::Mps(state) => state.apply_pauli(qubit, pauli),
+        }
+    }
+
+    fn measure(&mut self, qubit: usize, rng: &mut StdRng) -> bool {
+        match self {
+            Engine::Tableau(sim) => sim.measure(qubit, rng),
+            Engine::Mps(state) => state.measure(qubit, rng),
+        }
+    }
+
+    fn reset(&mut self, qubit: usize, rng: &mut StdRng) {
+        match self {
+            Engine::Tableau(sim) => sim.reset(qubit, rng),
+            Engine::Mps(state) => state.reset(qubit, rng),
         }
     }
 }
@@ -1059,8 +1106,8 @@ pub fn sample_distribution(dist: &Distribution, n: u64, seed: u64) -> Counts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::tests::reference_trajectory;
     use crate::profiles;
-    use qcir::gate::Gate;
 
     fn bell() -> Circuit {
         let mut qc = Circuit::new(2, 2);
@@ -1221,6 +1268,32 @@ mod tests {
         assert_eq!(counts.distinct_outcomes(), 2);
         let all_ones = (1u64 << 49) - 1;
         assert_eq!(counts.count(0) + counts.count(all_ones), 256);
+    }
+
+    #[test]
+    fn every_engine_runs_a_deterministic_trajectory() {
+        // X on both qubits, measured; a Pauli error flips qubit 0 back; a
+        // reset clears qubit 1. The conditioned H never fires but keeps the
+        // tableau job off the Pauli frame, so all three per-shot paths run
+        // (dense plan, tableau engine, MPS engine), reinitialized per shot.
+        let mut qc = Circuit::new(2, 4);
+        qc.x(0).x(1).measure(0, 0).x(0).measure(0, 1).measure(1, 2);
+        qc.cond_gate(Gate::H, &[1], 1, true);
+        qc.reset(1).measure(1, 3);
+        for choice in [
+            BackendChoice::Dense,
+            BackendChoice::Tableau,
+            BackendChoice::Mps { max_bond: 4 },
+        ] {
+            // A zero truncation budget: no engine may approximate here.
+            let counts = ExecutorConfig::new()
+                .backend(choice)
+                .truncation_budget(0.0)
+                .build()
+                .try_run(&qc, 3 * SHOT_CHUNK, 1)
+                .unwrap();
+            assert_eq!(counts.count(0b0101), 3 * SHOT_CHUNK, "{choice}");
+        }
     }
 
     #[test]
@@ -1638,10 +1711,9 @@ mod tests {
 
     #[test]
     fn noisy_replay_matches_per_gate_dispatch_across_thread_counts() {
-        // The noisy dense path replays precompiled kernel segments; this
-        // pins its counts bit-identically to a hand-rolled per-gate
-        // reference that replicates the old dispatch loop (same chunk
-        // partition, same derived seeds, same RNG consumption order).
+        // The noisy dense path walks an unfused noisy plan; this pins its
+        // counts bit-identically to the per-gate dense reference (same
+        // chunk partition, same derived seeds, same RNG consumption order).
         let mut c = Circuit::new(3, 3);
         c.h(0).cx(0, 1).t(1).rz(0.4, 2).barrier_all();
         c.swap(1, 2).ccx(0, 1, 2).measure(0, 0);
@@ -1660,19 +1732,15 @@ mod tests {
 
         // Per-gate reference: the same chunk partition and seed derivation
         // the executor uses, but each trajectory dispatched gate by gate.
-        let reference_exec = ExecutorConfig::new().noise(noise.clone()).build();
         let mut expected = Counts::new(c.num_clbits());
         let chunks = shots.div_ceil(SHOT_CHUNK);
-        let mut state = BackendKind::Dense
-            .build()
-            .init(c.num_qubits())
-            .expect("3 qubits fit the dense backend");
+        let mut sv = StateVector::zero(c.num_qubits());
         let mut word = OutcomeWord::zero();
         for chunk in 0..chunks {
             let chunk_shots = (shots - chunk * SHOT_CHUNK).min(SHOT_CHUNK);
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, chunk));
             for _ in 0..chunk_shots {
-                reference_exec.trajectory(&c, state.as_mut(), &mut rng, &mut word);
+                reference_trajectory(&c, &noise, &mut sv, &mut rng, &mut word);
                 expected.record_word(&word);
             }
         }

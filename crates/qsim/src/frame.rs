@@ -31,7 +31,6 @@
 //! [`FrameProgram::compile`] accepts: Clifford gates, measurement, reset,
 //! barriers, and conditionals on Paulis or the identity.
 
-use crate::backend::first_non_clifford;
 use crate::noise::{NoiseModel, Pauli};
 use crate::stabilizer::StabilizerSim;
 use crate::word::OutcomeWord;
@@ -246,7 +245,7 @@ impl FrameProgram {
     /// can change which measurements are random, so those circuits keep
     /// the per-shot tableau.
     pub fn compile(circuit: &Circuit) -> Option<FrameProgram> {
-        if first_non_clifford(circuit).is_some() {
+        if !circuit.is_clifford() {
             return None;
         }
         let mut reference = StabilizerSim::new(circuit.num_qubits());

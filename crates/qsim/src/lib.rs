@@ -3,10 +3,10 @@
 //! Three complementary backends behind one dispatch layer, plus the noise
 //! machinery the QEC experiments need:
 //!
-//! * [`backend`] — the unified simulation-backend layer: circuit
-//!   classification (Clifford / general), the [`backend::Backend`] /
-//!   [`backend::BackendState`] traits, auto-dispatch rules and the typed
-//!   [`backend::SimError`] the fallible execution APIs return.
+//! * [`backend`] — backend dispatch: the [`backend::BackendChoice`]
+//!   selector, the auto-dispatch rules over circuit size, Clifford-ness
+//!   and interaction range, and the typed [`backend::SimError`] the
+//!   fallible execution APIs return.
 //! * [`state`] — a dense state-vector simulator (practical to ~20 qubits)
 //!   used for semantic grading and the Deutsch–Jozsa noise experiments.
 //! * [`kernels`] — the specialized gate-application kernels behind
@@ -27,17 +27,17 @@
 //!   [`noise::NoiseModel`] aggregate.
 //! * [`profiles`] — named noise profiles, including the IBM-Brisbane-like
 //!   profile used by the Figure 4 reproduction.
-//! * [`plan`] — the compile step: lowers a circuit once into a fused,
-//!   matrix-precomputed [`plan::CircuitPlan`] (cost-model-gated up to 8×8
-//!   superblocks), cached in a process-wide LRU keyed by circuit content
-//!   hash, so repeated runs skip gate classification entirely.
-//! * [`replay`] — the noisy twin of [`plan`]: per-gate kernels
-//!   precompiled once and replayed in segments between noise insertion
-//!   points, bit-identical to per-gate dispatch.
+//! * [`plan`] — the compile step: lowers a circuit once into a
+//!   matrix-precomputed [`plan::CircuitPlan`] — fused (cost-model-gated up
+//!   to 8×8 superblocks) when noiseless, unfused with its noise sites and
+//!   bit-identical to per-gate dispatch when noisy — cached in a
+//!   process-wide LRU keyed by circuit content hash, so repeated runs skip
+//!   gate classification entirely.
 //! * [`exec`] — the circuit executor: shot sampling, trajectories,
 //!   conditionals and mid-circuit measurement, driven by cached plans on
-//!   both the noiseless and the noisy dense paths. Configured through the
-//!   typed [`exec::ExecutorConfig`].
+//!   both the noiseless and the noisy dense paths and by the tableau or
+//!   MPS engine directly otherwise. Configured through the typed
+//!   [`exec::ExecutorConfig`].
 //! * [`lru`] — the generic least-recently-used map with built-in hit,
 //!   miss and eviction counters behind every cache in the workspace.
 //! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
@@ -78,7 +78,6 @@ pub mod noise;
 pub mod observable;
 pub mod plan;
 pub mod profiles;
-pub mod replay;
 pub mod stabilizer;
 pub mod state;
 pub mod word;

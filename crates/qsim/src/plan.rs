@@ -3,12 +3,11 @@
 //! [`lower`] is the per-gate dispatch of the whole simulator: it maps one
 //! gate, via [`Gate::kind`], to the single [`PlannedOp`] whose
 //! [`PlannedOp::apply`] runs its dense kernel. [`StateVector::apply_gate`]
-//! calls it per gate, [`crate::replay`] precompiles noisy trajectories
-//! with it, and the fusion pass below uses it for the gates it cannot
-//! fuse. Calling it per gate re-derives trig-heavy matrix entries and
-//! kernel selection on every shot, every trajectory, and every repeat of
-//! the grader's candidate/reference runs, so this module adds a compile
-//! step:
+//! calls it per gate, noisy plans are built from it, and the fusion pass
+//! below uses it for the gates it cannot fuse. Calling it per gate
+//! re-derives trig-heavy matrix entries and kernel selection on every shot,
+//! every trajectory, and every repeat of the grader's candidate/reference
+//! runs, so this module adds a compile step:
 //!
 //! * [`CircuitPlan::compile`] lowers a circuit into a flat
 //!   `Vec<`[`PlannedOp`]`>` where every op carries its **precomputed**
@@ -21,6 +20,9 @@
 //!   pair of two-qubit blocks into an 8×8 [`PlannedOp::Dense3`] triple
 //!   ([`crate::kernels::apply_dense3`]): one sweep over the state where
 //!   the unfused circuit paid several.
+//! * [`CircuitPlan::compile_noisy`] lowers the same circuit for noisy
+//!   trajectories into the same flat op list, unfused (see "Noisy plans"
+//!   below).
 //! * [`PlanCache`] memoizes plans in an LRU keyed by [`fingerprint`]
 //!   (a 128-bit content hash of the circuit), so the executor's repeated
 //!   runs of identical circuits — the grader's candidate/reference pairs,
@@ -61,13 +63,29 @@
 //! [`CircuitPlan::fusion_declined`] and per cache through
 //! [`PlanCacheStats::fusion_declined`].
 //!
-//! Plans encode **noiseless** semantics: Pauli noise channels attach
-//! per-gate and per-barrier, which fusion would silently reassociate, so
-//! the executor drives noisy dense runs through [`crate::replay`] instead:
-//! gates [`lower`]ed once and replayed in segments between noise insertion
-//! points, bit-identical to per-gate dispatch because both run the same
-//! lowered op.
-//! The [`PlanCache`] memoizes those too ([`PlanCache::get_or_compile_noisy`]).
+//! # Noisy plans
+//!
+//! Fused plans encode **noiseless** semantics: Pauli noise channels attach
+//! per gate and per barrier, which fusion would silently reassociate. So
+//! [`CircuitPlan::compile_noisy`] fuses nothing. It lowers every gate
+//! through [`lower`] in program order and wraps the gates whose
+//! arity-class depolarizing rate is live in a [`PlannedOp::Noisy`] (the
+//! kernel, then [`NoiseModel::for_each_gate_error`]'s draws); barriers
+//! become [`PlannedOp::Idle`] when idle noise is live. Gates on a dead
+//! rate draw nothing, so they stay plain lowered ops.
+//!
+//! **Bit-identity with per-gate dispatch is the contract**, and it holds
+//! by construction: [`StateVector::apply_gate`] runs the same [`lower`],
+//! so both paths execute the same kernel on the same operands and draw the
+//! same randomness in the same order. Nothing here goes through the
+//! fusion pass's reclassification (multiplying by an exact complex `1`
+//! can still flip the sign bit of a `-0.0`, so even mathematically
+//! identity-preserving rewrites are not bitwise safe). Rate *values* are
+//! read live by [`CircuitPlan::run_trajectory`]; only the structural
+//! signature — which channels draw randomness, see [`noise_signature`] —
+//! shapes the plan, so sweeping a rate reuses one compiled plan. The
+//! [`PlanCache`] memoizes noisy plans too
+//! ([`PlanCache::get_or_compile_noisy`]).
 //!
 //! # Cache keying and invalidation
 //!
@@ -83,7 +101,6 @@ use crate::job::JobKey;
 use crate::kernels;
 use crate::lru::{lock, Lru};
 use crate::noise::NoiseModel;
-use crate::replay::{noise_signature, NoisyPlan};
 use crate::state::StateVector;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
@@ -330,7 +347,8 @@ pub enum PlannedOp {
     },
     /// A classically conditioned op: applied iff `clbit` last read `value`.
     /// The inner op is the gate's [`lower`]ing, never fused (its
-    /// application is only known per trajectory).
+    /// application is only known per trajectory); in noisy plans it may be
+    /// a [`PlannedOp::Noisy`], so noise draws only when the gate fires.
     Cond {
         /// The lowered conditional gate.
         op: Box<PlannedOp>,
@@ -339,11 +357,36 @@ pub enum PlannedOp {
         /// Value the bit must hold for the op to apply.
         value: bool,
     },
+    /// Noisy plans only: a gate whose arity-class depolarizing rate is
+    /// live — its kernel, then [`NoiseModel::for_each_gate_error`]'s draws.
+    Noisy {
+        /// The lowered gate (`None` for the identity, which still draws).
+        kernel: Option<Box<PlannedOp>>,
+        /// The gate itself (its arity selects the depolarizing rate).
+        gate: Gate,
+        /// The gate's operands, in gate order (the draw order).
+        qubits: Vec<usize>,
+    },
+    /// Noisy plans only: a barrier moment with idle noise live
+    /// ([`NoiseModel::for_each_idle_error`] over every qubit).
+    Idle,
+}
+
+/// Which noise channels are structurally live (rate ≠ 0): bit 0 =
+/// one-qubit depolarizing, bit 1 = two-qubit depolarizing, bit 2 = idle.
+/// This is the part of a [`NoiseModel`] that changes *where* a trajectory
+/// draws randomness; readout error attaches only to measurements, which
+/// are explicit ops already, so it does not shape a noisy plan.
+pub fn noise_signature(noise: &NoiseModel) -> u8 {
+    u8::from(noise.one_qubit_depol != 0.0)
+        | (u8::from(noise.two_qubit_depol != 0.0) << 1)
+        | (u8::from(noise.idle_error != 0.0) << 2)
 }
 
 /// An executable lowering of one circuit: flat op list, precomputed
-/// matrices, fused superblocks. Immutable once compiled — cache and share
-/// freely across threads.
+/// matrices, and either fused superblocks ([`CircuitPlan::compile`]) or
+/// unfused gates with their noise sites ([`CircuitPlan::compile_noisy`]).
+/// Immutable once compiled — cache and share freely across threads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CircuitPlan {
     num_qubits: usize,
@@ -353,6 +396,7 @@ pub struct CircuitPlan {
     source_gate_ops: usize,
     fusion_declined: usize,
     fingerprint: u128,
+    noise_signature: Option<u8>,
 }
 
 impl CircuitPlan {
@@ -413,6 +457,7 @@ impl CircuitPlan {
             source_gate_ops,
             fusion_declined,
             fingerprint: fingerprint(circuit),
+            noise_signature: None,
         };
         let fused = plan.fused_unitaries();
         let m = plan_metrics();
@@ -431,6 +476,74 @@ impl CircuitPlan {
             ],
         );
         plan
+    }
+
+    /// Lowers `circuit` for noisy trajectories under `noise`'s structural
+    /// signature (see the module docs on noisy plans): every gate unfused,
+    /// in program order, with draws at the live noise sites. Records no
+    /// `plan.*` compile metrics — those measure fusion.
+    pub fn compile_noisy(circuit: &Circuit, noise: &NoiseModel) -> CircuitPlan {
+        let signature = noise_signature(noise);
+        let gate_op = |gate: Gate, qubits: &[usize]| {
+            let kernel = lower(gate, qubits);
+            // The sampler early-returns on a zero rate, so a gate on a dead
+            // channel is its bare kernel (an identity vanishes entirely).
+            let channel = if gate.num_qubits() == 1 { 1 } else { 2 };
+            if signature & channel == 0 {
+                return kernel;
+            }
+            Some(PlannedOp::Noisy {
+                kernel: kernel.map(Box::new),
+                gate,
+                qubits: qubits.to_vec(),
+            })
+        };
+        let mut ops = Vec::new();
+        let mut measure_map = Vec::new();
+        let mut source_gate_ops = 0usize;
+        for op in circuit.ops() {
+            match op {
+                Op::Gate { gate, qubits } => {
+                    source_gate_ops += 1;
+                    ops.extend(gate_op(*gate, qubits));
+                }
+                Op::CondGate {
+                    gate,
+                    qubits,
+                    clbit,
+                    value,
+                } => {
+                    source_gate_ops += 1;
+                    ops.extend(gate_op(*gate, qubits).map(|op| PlannedOp::Cond {
+                        op: Box::new(op),
+                        clbit: *clbit,
+                        value: *value,
+                    }));
+                }
+                Op::Measure { qubit, clbit } => {
+                    measure_map.push((*qubit, *clbit));
+                    ops.push(PlannedOp::Measure {
+                        qubit: *qubit,
+                        clbit: *clbit,
+                    });
+                }
+                Op::Reset { qubit } => ops.push(PlannedOp::Reset { qubit: *qubit }),
+                // With idle noise dead the sampler draws nothing and a
+                // barrier is invisible.
+                Op::Barrier { .. } if signature & 4 != 0 => ops.push(PlannedOp::Idle),
+                Op::Barrier { .. } => {}
+            }
+        }
+        CircuitPlan {
+            num_qubits: circuit.num_qubits(),
+            num_clbits: circuit.num_clbits(),
+            ops,
+            measure_map,
+            source_gate_ops,
+            fusion_declined: 0,
+            fingerprint: fingerprint(circuit),
+            noise_signature: Some(signature),
+        }
     }
 
     /// Number of qubits the plan addresses.
@@ -485,50 +598,73 @@ impl CircuitPlan {
         self.fingerprint
     }
 
+    /// The [`noise_signature`] a noisy plan was compiled against; `None`
+    /// for fused (noiseless) plans.
+    pub fn noise_signature(&self) -> Option<u8> {
+        self.noise_signature
+    }
+
     /// Applies every unitary op to `sv`, skipping measurements — the
     /// sampling fast path's prefix evolution for measure-at-end circuits.
     ///
     /// # Panics
     ///
-    /// Panics on plans containing resets or conditional gates (their
-    /// semantics need a per-trajectory run; use
+    /// Panics on plans containing resets, conditional gates or noise sites
+    /// (their semantics need a per-trajectory run; use
     /// [`CircuitPlan::run_trajectory`]).
     pub fn apply_unitary(&self, sv: &mut StateVector) {
         for op in &self.ops {
             match op {
                 PlannedOp::Measure { .. } => {}
-                PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
-                    panic!("apply_unitary requires a reset- and conditional-free plan")
+                PlannedOp::Reset { .. }
+                | PlannedOp::Cond { .. }
+                | PlannedOp::Noisy { .. }
+                | PlannedOp::Idle => {
+                    panic!("apply_unitary requires a noiseless, reset- and conditional-free plan")
                 }
                 unitary => unitary.apply(sv),
             }
         }
     }
 
-    /// Runs one full (noiseless) Monte-Carlo trajectory: reinitializes the
-    /// state, walks the plan, and writes the classical outcome into the
-    /// caller's scratch word (cleared first). The per-shot twin of the
-    /// executor's per-gate trajectory loop, minus all gate classification.
+    /// Runs one full Monte-Carlo trajectory: reinitializes the state, walks
+    /// the plan, and writes the classical outcome into the caller's scratch
+    /// word (cleared first). Measurements apply `noise`'s readout error, and
+    /// a noisy plan draws gate and idle errors at its noise sites with
+    /// `noise`'s live rates, which must match the plan's signature (a fused
+    /// plan takes a noiseless model). On a noisy plan the trajectory is
+    /// bit-identical — final state, classical bits and RNG stream — to
+    /// per-gate dispatch.
     pub fn run_trajectory(
         &self,
         sv: &mut StateVector,
+        noise: &NoiseModel,
         rng: &mut impl Rng,
         clbits: &mut OutcomeWord,
     ) {
+        debug_assert_eq!(
+            self.noise_signature.unwrap_or(0),
+            noise_signature(noise),
+            "plan compiled for a different noise signature"
+        );
         sv.reinit();
         clbits.clear();
         for op in &self.ops {
             match op {
                 PlannedOp::Measure { qubit, clbit } => {
-                    let outcome = sv.measure(*qubit, rng);
-                    clbits.set_bit(*clbit, outcome);
+                    let raw = sv.measure(*qubit, rng);
+                    clbits.set_bit(*clbit, noise.sample_readout(raw, rng));
                 }
                 PlannedOp::Reset { qubit } => sv.reset(*qubit, rng),
                 PlannedOp::Cond { op, clbit, value } => {
                     if clbits.bit(*clbit) == *value {
-                        op.apply(sv);
+                        op.apply_noisy(sv, noise, rng);
                     }
                 }
+                PlannedOp::Idle => {
+                    noise.for_each_idle_error(self.num_qubits, rng, |q, p| sv.apply_pauli(q, p));
+                }
+                noisy @ PlannedOp::Noisy { .. } => noisy.apply_noisy(sv, noise, rng),
                 unitary => unitary.apply(sv),
             }
         }
@@ -571,18 +707,39 @@ impl PlannedOp {
             PlannedOp::CSwap { control, a, b } => {
                 kernels::apply_cswap(sv.amps_mut(), *control, *a, *b);
             }
-            PlannedOp::Measure { .. } | PlannedOp::Reset { .. } | PlannedOp::Cond { .. } => {
-                unreachable!("non-unitary op applied as a unitary")
+            PlannedOp::Measure { .. }
+            | PlannedOp::Reset { .. }
+            | PlannedOp::Cond { .. }
+            | PlannedOp::Noisy { .. }
+            | PlannedOp::Idle => unreachable!("non-unitary op applied as a unitary"),
+        }
+    }
+
+    /// Applies a gate op: a unitary, or a [`PlannedOp::Noisy`] gate's
+    /// kernel followed by its error draws.
+    #[inline]
+    fn apply_noisy(&self, sv: &mut StateVector, noise: &NoiseModel, rng: &mut impl Rng) {
+        match self {
+            PlannedOp::Noisy {
+                kernel,
+                gate,
+                qubits,
+            } => {
+                if let Some(kernel) = kernel {
+                    kernel.apply(sv);
+                }
+                noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
             }
+            unitary => unitary.apply(sv),
         }
     }
 }
 
 /// Lowers one gate to the single op that applies it, unfused: the
 /// per-gate dispatch from [`Gate::kind`] to a dense kernel, written once.
-/// [`StateVector::apply_gate`], noisy replay ([`crate::replay`]),
-/// conditional gates and the fuser's unfusable gates all run what this
-/// returns, so they agree bit for bit. `None` for the identity.
+/// [`StateVector::apply_gate`], noisy plans, conditional gates and the
+/// fuser's unfusable gates all run what this returns, so they agree bit
+/// for bit. `None` for the identity.
 pub fn lower(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
     Some(match gate.kind() {
         GateKind::Identity => return None,
@@ -1398,9 +1555,9 @@ impl Fnv128 {
 pub struct PlanCache {
     fusion_declined: u64,
     map: Lru<u128, Arc<CircuitPlan>>,
-    /// Noisy replay plans, keyed by circuit fingerprint plus the noise
-    /// model's structural signature (which channels draw randomness).
-    noisy: Lru<(u128, u8), Arc<NoisyPlan>>,
+    /// Noisy plans, keyed by circuit fingerprint plus the noise model's
+    /// structural signature (which channels draw randomness).
+    noisy: Lru<(u128, u8), Arc<CircuitPlan>>,
     results: Lru<JobKey, Arc<Distribution>>,
 }
 
@@ -1433,18 +1590,19 @@ impl PlanCache {
         plan
     }
 
-    /// The cached noisy replay plan for `circuit` under `noise`'s channel
-    /// signature, compiling on miss as [`PlanCache::get_or_compile`] does.
-    /// Shares this cache's counters; the noisy map has its own `cap`-entry
-    /// LRU budget. Rate *values* are not part of the key — replay reads
-    /// them live — so sweeping a rate reuses one compiled plan.
+    /// The cached noisy plan ([`CircuitPlan::compile_noisy`]) for `circuit`
+    /// under `noise`'s channel signature, compiling on miss as
+    /// [`PlanCache::get_or_compile`] does. Shares this cache's counters;
+    /// the noisy map has its own `cap`-entry LRU budget. Rate *values* are
+    /// not part of the key — trajectories read them live — so sweeping a
+    /// rate reuses one compiled plan.
     pub fn get_or_compile_noisy(
         cache: &Mutex<Self>,
         circuit: &Circuit,
         noise: &NoiseModel,
-    ) -> Arc<NoisyPlan> {
+    ) -> Arc<CircuitPlan> {
         let key = (fingerprint(circuit), noise_signature(noise));
-        let compile = || Arc::new(NoisyPlan::compile(circuit, noise));
+        let compile = || Arc::new(CircuitPlan::compile_noisy(circuit, noise));
         Self::memo(cache, |c| &mut c.noisy, key, compile).0
     }
 
@@ -1510,7 +1668,7 @@ pub struct PlanCacheStats {
     /// Densifications the cost model declined across this cache's
     /// compiles (see the module docs on the cost model).
     pub fusion_declined: u64,
-    /// Cached plan count (noiseless and noisy replay plans).
+    /// Cached plan count (fused and noisy plans).
     pub len: usize,
     /// The eviction threshold.
     pub capacity: usize,
@@ -1531,10 +1689,68 @@ pub fn shared_cache() -> Arc<Mutex<PlanCache>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use qcir::math::Matrix;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Per-gate noisy dispatch through public APIs — the reference noisy
+    /// plans (and the executor's noisy dense path) must match bit for bit:
+    /// each gate applied by [`StateVector::apply_gate`], then its error
+    /// draws; idle draws at barriers; readout error at measurements.
+    pub(crate) fn reference_trajectory(
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        sv: &mut StateVector,
+        rng: &mut StdRng,
+        clbits: &mut OutcomeWord,
+    ) {
+        sv.reinit();
+        clbits.clear();
+        for op in circuit.ops() {
+            match op {
+                Op::Gate { gate, qubits } => {
+                    sv.apply_gate(*gate, qubits);
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
+                }
+                Op::CondGate {
+                    gate,
+                    qubits,
+                    clbit,
+                    value,
+                } => {
+                    if clbits.bit(*clbit) == *value {
+                        sv.apply_gate(*gate, qubits);
+                        noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
+                    }
+                }
+                Op::Measure { qubit, clbit } => {
+                    let raw = sv.measure(*qubit, rng);
+                    clbits.set_bit(*clbit, noise.sample_readout(raw, rng));
+                }
+                Op::Reset { qubit } => sv.reset(*qubit, rng),
+                Op::Barrier { .. } => {
+                    noise.for_each_idle_error(sv.num_qubits(), rng, |q, p| sv.apply_pauli(q, p));
+                }
+            }
+        }
+    }
+
+    /// Every op class, a barrier, an identity and a conditional.
+    fn busy_circuit() -> Circuit {
+        let mut qc = Circuit::new(3, 3);
+        qc.h(0).cx(0, 1).t(2).rz(0.37, 1);
+        qc.barrier_all();
+        qc.swap(1, 2).ccx(0, 1, 2).push_gate(Gate::Id, &[0]);
+        qc.measure(0, 0);
+        qc.cond_gate(Gate::X, &[2], 0, true);
+        qc.reset(1);
+        qc.h(1).cz(1, 2);
+        qc.measure(1, 1);
+        qc.measure(2, 2);
+        qc
+    }
 
     /// Applies the plan and the unfused per-gate path to the same basis
     /// states and requires identical final states to 1e-12.
@@ -1806,12 +2022,131 @@ mod tests {
         qc.reset(0);
         let plan = CircuitPlan::compile(&qc);
         let mut sv = StateVector::zero(2);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let mut word = OutcomeWord::zero();
-        plan.run_trajectory(&mut sv, &mut rng, &mut word);
+        plan.run_trajectory(&mut sv, &NoiseModel::ideal(), &mut rng, &mut word);
         assert!(word.bit(0) && word.bit(1));
         // Reset put qubit 0 back to |0>.
         assert!(sv.prob_one(0) < 1e-12);
+    }
+
+    #[test]
+    fn noisy_plans_draw_exactly_at_live_noise_sites() {
+        let qc = busy_circuit();
+        let count = |plan: &CircuitPlan, pred: fn(&PlannedOp) -> bool| {
+            plan.ops().iter().filter(|op| pred(op)).count()
+        };
+        // Two-qubit noise only: every 2q/3q gate becomes a noisy op, the 1q
+        // gates (and the conditional X) stay bare kernels, and the dead
+        // idle channel erases the barrier.
+        let noise = NoiseModel {
+            one_qubit_depol: 0.0,
+            two_qubit_depol: 0.05,
+            readout_error: 0.0,
+            idle_error: 0.0,
+            label: "2q-only".into(),
+        };
+        let plan = CircuitPlan::compile_noisy(&qc, &noise);
+        assert_eq!(plan.noise_signature(), Some(0b010));
+        assert_eq!(
+            count(&plan, |op| matches!(op, PlannedOp::Noisy { .. })),
+            4,
+            "CX, SWAP, CCX and CZ attach noise: {:?}",
+            plan.ops()
+        );
+        assert_eq!(
+            count(&plan, |op| matches!(
+                op,
+                PlannedOp::Diag1 { .. } | PlannedOp::Dense1 { .. }
+            )),
+            4,
+            "H, T, RZ and H stay unfused bare kernels; the identity vanishes"
+        );
+        assert_eq!(count(&plan, |op| matches!(op, PlannedOp::Idle)), 0);
+        assert!(plan.ops().iter().any(|op| matches!(
+            op,
+            PlannedOp::Cond { op, .. } if matches!(**op, PlannedOp::FlipX { .. })
+        )));
+        // Fully live: the identity keeps a kernel-less draw site, the
+        // conditional X draws only when it fires, and the barrier idles.
+        let plan = CircuitPlan::compile_noisy(&qc, &NoiseModel::uniform_depolarizing(0.05));
+        assert!(plan.ops().iter().any(|op| matches!(
+            op,
+            PlannedOp::Noisy {
+                kernel: None,
+                gate: Gate::Id,
+                ..
+            }
+        )));
+        assert!(plan.ops().iter().any(|op| matches!(
+            op,
+            PlannedOp::Cond { op, .. } if matches!(**op, PlannedOp::Noisy { .. })
+        )));
+        let mut idle = NoiseModel::ideal();
+        idle.idle_error = 0.01;
+        let plan = CircuitPlan::compile_noisy(&qc, &idle);
+        assert_eq!(count(&plan, |op| matches!(op, PlannedOp::Idle)), 1);
+        // Readout-only noise shapes nothing: no draw sites at all.
+        let mut readout_only = NoiseModel::ideal();
+        readout_only.readout_error = 0.1;
+        let plan = CircuitPlan::compile_noisy(&qc, &readout_only);
+        assert_eq!(plan.noise_signature(), Some(0));
+        assert!(plan
+            .ops()
+            .iter()
+            .all(|op| !matches!(op, PlannedOp::Noisy { .. } | PlannedOp::Idle)));
+    }
+
+    #[test]
+    fn noisy_plans_are_bit_identical_to_per_gate_dispatch() {
+        let qc = busy_circuit();
+        let models = [
+            NoiseModel::uniform_depolarizing(0.05),
+            NoiseModel {
+                one_qubit_depol: 0.02,
+                two_qubit_depol: 0.0,
+                readout_error: 0.1,
+                idle_error: 0.03,
+                label: "mixed".into(),
+            },
+            NoiseModel {
+                one_qubit_depol: 0.0,
+                two_qubit_depol: 0.07,
+                readout_error: 0.0,
+                idle_error: 0.0,
+                label: "2q-only".into(),
+            },
+            NoiseModel::ideal(),
+        ];
+        for noise in models {
+            let plan = CircuitPlan::compile_noisy(&qc, &noise);
+            for seed in 0..25u64 {
+                let mut rng_a = StdRng::seed_from_u64(seed);
+                let mut rng_b = StdRng::seed_from_u64(seed);
+                let mut sv_a = StateVector::zero(3);
+                let mut sv_b = StateVector::zero(3);
+                let mut word_a = OutcomeWord::zero();
+                let mut word_b = OutcomeWord::zero();
+                plan.run_trajectory(&mut sv_a, &noise, &mut rng_a, &mut word_a);
+                reference_trajectory(&qc, &noise, &mut sv_b, &mut rng_b, &mut word_b);
+                for (i, (a, b)) in sv_a.amplitudes().iter().zip(sv_b.amplitudes()).enumerate() {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "noise {} seed {seed} amp {i}: {a:?} vs {b:?}",
+                        noise.label
+                    );
+                }
+                assert_eq!(word_a, word_b, "noise {} seed {seed}", noise.label);
+                // The RNG streams advanced identically too.
+                assert_eq!(
+                    rng_a.gen::<u64>(),
+                    rng_b.gen::<u64>(),
+                    "noise {} seed {seed}: RNG streams diverged",
+                    noise.label
+                );
+            }
+        }
     }
 
     #[test]

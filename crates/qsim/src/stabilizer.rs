@@ -22,8 +22,6 @@
 //! stabilizer circuits", Phys. Rev. A 70, 052328 (2004); C. Gidney, "Stim:
 //! a fast stabilizer circuit simulator", Quantum 5, 497 (2021).
 
-use crate::backend::SimError;
-use crate::dist::Counts;
 use crate::word::OutcomeWord;
 use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
@@ -484,28 +482,6 @@ impl StabilizerSim {
         }
     }
 
-    /// Runs a full Clifford circuit, returning the classical outcome word.
-    ///
-    /// Outcomes are packed [`OutcomeWord`]s (classical bit `i` in bit `i`),
-    /// matching [`crate::dist::Counts`]; the register width is unbounded —
-    /// measurement bits past 64 spill into multi-word outcomes, which is
-    /// what lets distance-7 surface-code memory circuits (97+ classical
-    /// bits) run at all. (Before the multi-word register layer this method
-    /// refused >64-clbit circuits outright.)
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NonCliffordGate`] on the first non-Clifford gate.
-    pub fn try_run_circuit(circuit: &Circuit, rng: &mut impl Rng) -> Result<OutcomeWord, SimError> {
-        if let Some(gate) = crate::backend::first_non_clifford(circuit) {
-            return Err(SimError::NonCliffordGate { gate });
-        }
-        let mut sim = StabilizerSim::new(circuit.num_qubits());
-        let mut clbits = OutcomeWord::zero();
-        sim.run_circuit_into(circuit, rng, &mut clbits);
-        Ok(clbits)
-    }
-
     /// One trajectory of a pre-validated Clifford circuit, writing
     /// measurement results into `clbits`. Both the tableau and the outcome
     /// word are reset first, so calling this in a shot loop is safe without
@@ -545,49 +521,12 @@ impl StabilizerSim {
             }
         }
     }
-
-    /// Panicking wrapper around [`StabilizerSim::try_run_circuit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the circuit contains non-Clifford gates.
-    pub fn run_circuit(circuit: &Circuit, rng: &mut impl Rng) -> OutcomeWord {
-        match Self::try_run_circuit(circuit, rng) {
-            Ok(word) => word,
-            Err(e) => panic!("stabilizer simulation failed: {e}"),
-        }
-    }
-
-    /// Samples `shots` independent trajectories of a Clifford circuit into a
-    /// [`Counts`] table — the distribution-level mirror of the dense
-    /// executor's sampling path. The tableau and the outcome scratch word
-    /// are reused across shots.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StabilizerSim::try_run_circuit`].
-    pub fn sample_counts(
-        circuit: &Circuit,
-        shots: u64,
-        rng: &mut impl Rng,
-    ) -> Result<Counts, SimError> {
-        if let Some(gate) = crate::backend::first_non_clifford(circuit) {
-            return Err(SimError::NonCliffordGate { gate });
-        }
-        let mut counts = Counts::new(circuit.num_clbits());
-        let mut sim = StabilizerSim::new(circuit.num_qubits());
-        let mut word = OutcomeWord::zero();
-        for _ in 0..shots {
-            sim.run_circuit_into(circuit, rng, &mut word);
-            counts.record_word(&word);
-        }
-        Ok(counts)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dist::Counts;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -779,6 +718,13 @@ mod tests {
         }
     }
 
+    /// One [`StabilizerSim::run_circuit_into`] shot on a fresh tableau.
+    fn run_once(circuit: &Circuit, rng: &mut StdRng) -> OutcomeWord {
+        let mut word = OutcomeWord::zero();
+        StabilizerSim::new(circuit.num_qubits()).run_circuit_into(circuit, rng, &mut word);
+        word
+    }
+
     #[test]
     fn run_circuit_handles_conditionals() {
         let mut qc = Circuit::new(2, 2);
@@ -786,7 +732,7 @@ mod tests {
         qc.cond_gate(Gate::X, &[1], 0, true);
         qc.measure(1, 1);
         let mut rng = StdRng::seed_from_u64(12);
-        assert_eq!(StabilizerSim::run_circuit(&qc, &mut rng), 0b11);
+        assert_eq!(run_once(&qc, &mut rng), 0b11);
     }
 
     #[test]
@@ -797,14 +743,14 @@ mod tests {
     }
 
     #[test]
-    fn try_run_circuit_records_past_64_clbits() {
+    fn run_circuit_records_past_64_clbits() {
         // 65 clbits: bit 64 of a u64 word does not exist, so before the
         // multi-word register layer this circuit was refused outright. Now
         // the outcome spills into a second word.
         let mut qc = Circuit::new(2, 65);
         qc.x(0).measure(0, 64).measure(1, 0);
         let mut rng = StdRng::seed_from_u64(20);
-        let word = StabilizerSim::try_run_circuit(&qc, &mut rng).unwrap();
+        let word = run_once(&qc, &mut rng);
         assert!(word.bit(64));
         assert!(!word.bit(0));
         assert_eq!(word, OutcomeWord::from_words(&[0, 1]));
@@ -813,28 +759,23 @@ mod tests {
         qc.x(0).measure(0, 69);
         qc.cond_gate(Gate::X, &[1], 69, true);
         qc.measure(1, 0);
-        let word = StabilizerSim::try_run_circuit(&qc, &mut rng).unwrap();
+        let word = run_once(&qc, &mut rng);
         assert!(word.bit(69));
         assert!(word.bit(0));
     }
 
     #[test]
-    fn try_run_circuit_rejects_non_clifford() {
-        let mut qc = Circuit::new(1, 1);
-        qc.t(0).measure(0, 0);
-        let mut rng = StdRng::seed_from_u64(21);
-        assert_eq!(
-            StabilizerSim::try_run_circuit(&qc, &mut rng),
-            Err(SimError::NonCliffordGate { gate: Gate::T })
-        );
-    }
-
-    #[test]
-    fn sample_counts_matches_bell_statistics() {
+    fn reused_tableau_shots_match_bell_statistics() {
         let mut qc = Circuit::new(2, 2);
         qc.h(0).cx(0, 1).measure_all();
         let mut rng = StdRng::seed_from_u64(22);
-        let counts = StabilizerSim::sample_counts(&qc, 2000, &mut rng).unwrap();
+        let mut counts = Counts::new(2);
+        let mut sim = StabilizerSim::new(2);
+        let mut word = OutcomeWord::zero();
+        for _ in 0..2000 {
+            sim.run_circuit_into(&qc, &mut rng, &mut word);
+            counts.record_word(&word);
+        }
         assert_eq!(counts.shots(), 2000);
         assert_eq!(counts.count(0b01) + counts.count(0b10), 0);
         let p00 = counts.probability(0b00);

@@ -5,14 +5,17 @@
 //! circuit family as `sim_kernels`' `random_circuit_20q` through both
 //! execution paths; the ratio between `per_gate_dispatch` and
 //! `fused_plan_warm` is the fusion win CI tracks (acceptance floor: 1.5x).
+//! `noisy_plan_suite` runs the QEC stage's noisy dense traffic — the 34
+//! suite references at 4096 shots under `ibm_brisbane_like` — through
+//! per-gate dispatch and through compiled noisy plans.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qcir::circuit::Circuit;
+use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
+use qsim::dist::Counts;
 use qsim::exec::Executor;
 use qsim::noise::NoiseModel;
 use qsim::plan::CircuitPlan;
-use qsim::replay::NoisyPlan;
 use qsim::state::StateVector;
 use qsim::word::OutcomeWord;
 use rand::rngs::StdRng;
@@ -128,7 +131,7 @@ fn bench_plan_deep_20q(c: &mut Criterion) {
         .ops()
         .iter()
         .filter_map(|op| match op {
-            qcir::circuit::Op::Gate { gate, qubits } => Some((*gate, qubits.clone())),
+            Op::Gate { gate, qubits } => Some((*gate, qubits.clone())),
             _ => None,
         })
         .collect();
@@ -182,7 +185,7 @@ fn bench_plan_diag_heavy_18q(c: &mut Criterion) {
         .ops()
         .iter()
         .filter_map(|op| match op {
-            qcir::circuit::Op::Gate { gate, qubits } => Some((*gate, qubits.clone())),
+            Op::Gate { gate, qubits } => Some((*gate, qubits.clone())),
             _ => None,
         })
         .collect();
@@ -207,32 +210,17 @@ fn bench_plan_diag_heavy_18q(c: &mut Criterion) {
     group.finish();
 }
 
-/// Noisy trajectories: per-gate dispatch with inline noise sampling (the
-/// path PR 10 replaced) vs replaying the precompiled `NoisyPlan` segments.
-/// Both arms consume identical RNG streams and produce identical outcomes.
+/// Noisy 16q brickwork trajectories: per-gate dispatch
+/// ([`per_gate_trajectory`]) vs walking the precompiled noisy plan
+/// (`CircuitPlan::compile_noisy`). Both arms consume identical RNG streams
+/// and produce identical outcomes.
 fn bench_noisy_replay_16q(c: &mut Criterion) {
     let n = 16;
     let mut qc = brickwork(n, 12, 31);
     qc.measure_all();
     let mut noise = NoiseModel::uniform_depolarizing(0.002);
     noise.readout_error = 0.01;
-    let plan = NoisyPlan::compile(&qc, &noise);
-    let gates: Vec<(Gate, Vec<usize>)> = qc
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            qcir::circuit::Op::Gate { gate, qubits } => Some((*gate, qubits.clone())),
-            _ => None,
-        })
-        .collect();
-    let measures: Vec<(usize, usize)> = qc
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            qcir::circuit::Op::Measure { qubit, clbit } => Some((*qubit, *clbit)),
-            _ => None,
-        })
-        .collect();
+    let plan = CircuitPlan::compile_noisy(&qc, &noise);
     const SHOTS: usize = 24;
     let mut group = c.benchmark_group("noisy_replay_16q");
     let mut sv = StateVector::zero(n);
@@ -242,17 +230,8 @@ fn bench_noisy_replay_16q(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0usize;
             for _ in 0..SHOTS {
-                sv.reinit();
-                word.clear();
-                for (g, qs) in &gates {
-                    sv.apply_gate(*g, qs);
-                    noise.for_each_gate_error(g, qs, &mut rng, |q, pauli| pauli.apply(&mut sv, q));
-                }
-                for &(qubit, clbit) in &measures {
-                    let raw = sv.measure(qubit, &mut rng);
-                    word.set_bit(clbit, noise.sample_readout(raw, &mut rng));
-                    acc += word.bit(clbit) as usize;
-                }
+                per_gate_trajectory(&qc, &noise, &mut sv, &mut rng, &mut word);
+                acc += word.bit(0) as usize;
             }
             std::hint::black_box(acc)
         })
@@ -267,6 +246,104 @@ fn bench_noisy_replay_16q(c: &mut Criterion) {
             }
             std::hint::black_box(acc)
         })
+    });
+    group.finish();
+}
+
+/// One noisy trajectory dispatched gate by gate — `StateVector::apply_gate`
+/// then the gate's error draws, idle draws at barriers, readout error at
+/// measurements: the per-shot work a compiled noisy plan replaces.
+fn per_gate_trajectory(
+    qc: &Circuit,
+    noise: &NoiseModel,
+    sv: &mut StateVector,
+    rng: &mut StdRng,
+    word: &mut OutcomeWord,
+) {
+    sv.reinit();
+    word.clear();
+    for op in qc.ops() {
+        match op {
+            Op::Gate { gate, qubits } => {
+                sv.apply_gate(*gate, qubits);
+                noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
+            }
+            Op::CondGate {
+                gate,
+                qubits,
+                clbit,
+                value,
+            } => {
+                if word.bit(*clbit) == *value {
+                    sv.apply_gate(*gate, qubits);
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| sv.apply_pauli(q, p));
+                }
+            }
+            Op::Measure { qubit, clbit } => {
+                let raw = sv.measure(*qubit, rng);
+                word.set_bit(*clbit, noise.sample_readout(raw, rng));
+            }
+            Op::Reset { qubit } => sv.reset(*qubit, rng),
+            Op::Barrier { .. } => {
+                noise.for_each_idle_error(sv.num_qubits(), rng, |q, p| sv.apply_pauli(q, p));
+            }
+        }
+    }
+}
+
+/// Runs every `(circuit, noisy plan, state)` job for 4096 shots from a
+/// per-job seed, per gate or through the plan, returning each job's counts.
+fn run_suite(
+    jobs: &mut [(Circuit, CircuitPlan, StateVector)],
+    noise: &NoiseModel,
+    compiled: bool,
+) -> Vec<Counts> {
+    let mut word = OutcomeWord::zero();
+    jobs.iter_mut()
+        .enumerate()
+        .map(|(i, (qc, plan, sv))| {
+            let mut rng = StdRng::seed_from_u64(i as u64);
+            let mut counts = Counts::new(qc.num_clbits());
+            for _ in 0..4096 {
+                if compiled {
+                    plan.run_trajectory(sv, noise, &mut rng, &mut word);
+                } else {
+                    per_gate_trajectory(qc, noise, sv, &mut rng, &mut word);
+                }
+                counts.record_word(&word);
+            }
+            counts
+        })
+        .collect()
+}
+
+/// The QEC stage's noisy dense traffic: `QecAgent::compare` runs each
+/// program at 4096 shots under `ibm_brisbane_like` (`QecStage::default()`).
+/// Here the 34 suite references run through per-gate dispatch and through
+/// warm compiled noisy plans; the arms' counts are checked identical
+/// before timing. CI requires `compiled_plan` ≥ 1.3x faster.
+fn bench_noisy_plan_suite(c: &mut Criterion) {
+    let noise = qsim::profiles::ibm_brisbane_like();
+    let mut jobs: Vec<(Circuit, CircuitPlan, StateVector)> = qeval::suite::test_suite()
+        .iter()
+        .map(|task| {
+            let qc = task.spec.reference_circuit();
+            let plan = CircuitPlan::compile_noisy(&qc, &noise);
+            let sv = StateVector::zero(qc.num_qubits());
+            (qc, plan, sv)
+        })
+        .collect();
+    assert_eq!(
+        run_suite(&mut jobs, &noise, false),
+        run_suite(&mut jobs, &noise, true),
+        "compiled noisy plans must reproduce per-gate dispatch exactly"
+    );
+    let mut group = c.benchmark_group("noisy_plan_suite");
+    group.bench_function("per_gate_dispatch", |b| {
+        b.iter(|| run_suite(&mut jobs, &noise, false))
+    });
+    group.bench_function("compiled_plan", |b| {
+        b.iter(|| run_suite(&mut jobs, &noise, true))
     });
     group.finish();
 }
@@ -294,6 +371,7 @@ criterion_group!(
     bench_plan_deep_20q,
     bench_plan_diag_heavy_18q,
     bench_noisy_replay_16q,
+    bench_noisy_plan_suite,
     bench_executor_plan_cache
 );
 criterion_main!(benches);
