@@ -121,15 +121,6 @@ impl Orchestrator {
         }
     }
 
-    /// Builds the pipeline around an existing LLM (shared corpora).
-    pub fn with_llm(llm: CodeLlm, config: PipelineConfig) -> Self {
-        Orchestrator {
-            codegen: CodeGenAgent::new(llm, config.gen.clone()),
-            analyzer: SemanticAnalyzerAgent::new(),
-            config,
-        }
-    }
-
     /// The pipeline configuration.
     pub fn config(&self) -> &PipelineConfig {
         &self.config

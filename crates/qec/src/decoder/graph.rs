@@ -102,35 +102,6 @@ impl DecodingGraph {
         DecodingGraph::new(num_nodes, edges)
     }
 
-    /// Code-capacity Z-error graph (X stabilizers detect Z errors).
-    pub fn code_capacity_z(code: &SurfaceCode) -> Self {
-        let x_stabs = code.x_stabilizers();
-        let num_nodes = x_stabs.len();
-        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); code.num_data()];
-        for (i, s) in x_stabs.iter().enumerate() {
-            for &q in &s.support {
-                owners[q].push(i);
-            }
-        }
-        let mut edges = Vec::new();
-        for (q, own) in owners.iter().enumerate() {
-            match own.as_slice() {
-                [a] => edges.push(Edge {
-                    a: *a,
-                    b: None,
-                    qubit: Some(q),
-                }),
-                [a, b] => edges.push(Edge {
-                    a: *a,
-                    b: Some(*b),
-                    qubit: Some(q),
-                }),
-                _ => debug_assert!(false, "qubit {q} has unexpected X-stabilizer coverage"),
-            }
-        }
-        DecodingGraph::new(num_nodes, edges)
-    }
-
     /// Space-time X-error graph over `rounds` measurement rounds: node
     /// `(stab, t)` is flattened to `t * num_stabs + stab`. Spatial edges
     /// repeat the code-capacity graph per round; temporal edges (weight-1

@@ -179,23 +179,10 @@ impl SurfaceCode {
             .collect()
     }
 
-    /// Computes the X-stabilizer syndrome of a Z-error pattern.
-    pub fn x_syndrome(&self, z_errors: &[bool]) -> Vec<bool> {
-        self.x_stabilizers()
-            .iter()
-            .map(|s| s.support.iter().filter(|&&q| z_errors[q]).count() % 2 == 1)
-            .collect()
-    }
-
     /// Whether an X-error pattern (after correction) implements a logical X
     /// flip: odd overlap with the logical Z support.
     pub fn is_logical_x_flip(&self, x_errors: &[bool]) -> bool {
         self.logical_z().iter().filter(|&&q| x_errors[q]).count() % 2 == 1
-    }
-
-    /// Whether a Z-error pattern implements a logical Z flip.
-    pub fn is_logical_z_flip(&self, z_errors: &[bool]) -> bool {
-        self.logical_x().iter().filter(|&&q| z_errors[q]).count() % 2 == 1
     }
 
     /// Lowers the code to an executable syndrome-extraction memory circuit

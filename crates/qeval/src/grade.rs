@@ -143,9 +143,12 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         Err(diag) => return GradeDetail::unmeasured(false, vec![diag]),
     };
     // Stage 1b: semantic check + lowering.
-    let outcome = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
-    let Some(circuit) = outcome.circuit.clone() else {
-        return GradeDetail::unmeasured(false, outcome.diagnostics);
+    let qcir::check::CheckOutcome {
+        circuit,
+        diagnostics,
+    } = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
+    let Some(circuit) = circuit else {
+        return GradeDetail::unmeasured(false, diagnostics);
     };
 
     // Stage 2: behavioural comparison.
@@ -153,7 +156,7 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
     if circuit.num_clbits() != reference.num_clbits()
         || (circuit.num_measurements() == 0 && reference.num_measurements() > 0)
     {
-        return GradeDetail::unmeasured(true, outcome.diagnostics);
+        return GradeDetail::unmeasured(true, diagnostics);
     }
     let (Ok(choice_c), Ok(choice_r)) = (grading_backend(&circuit), grading_backend(&reference))
     else {
@@ -161,7 +164,7 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         // entanglers over the cap, …): grade as semantically wrong rather
         // than attempting to simulate. Clifford circuits sail through at
         // any classical-register width.
-        return GradeDetail::unmeasured(true, outcome.diagnostics);
+        return GradeDetail::unmeasured(true, diagnostics);
     };
 
     // The exact branch recomputes its distributions on every grade (they
@@ -196,14 +199,14 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
             // on a candidate that entangles far more than its class
             // suggested): grade as semantically wrong, never trust
             // low-fidelity counts.
-            return GradeDetail::unmeasured(true, outcome.diagnostics);
+            return GradeDetail::unmeasured(true, diagnostics);
         };
         (dists[0].tvd(&dists[1]), TVD_TOLERANCE_SAMPLED)
     };
     GradeDetail {
         syntactic_ok: true,
         semantic_ok: tvd <= tolerance,
-        diagnostics: outcome.diagnostics,
+        diagnostics,
         tvd: Some(tvd),
     }
 }
@@ -218,7 +221,7 @@ fn sampled_distributions(exec: &Executor, jobs: &[JobSpec]) -> Option<Vec<Arc<Di
     let cache = qsim::plan::shared_cache();
     let keys: Vec<JobKey> = jobs
         .iter()
-        .map(|job| job.key(exec.backend_choice(), exec.truncation_budget()))
+        .map(|job| job.key(exec.config().backend, exec.config().truncation_budget))
         .collect();
     let mut found: Vec<_> = {
         let mut cache = lock(&cache);

@@ -241,8 +241,7 @@ impl fmt::Display for BackendChoice {
 }
 
 /// Why a backend-selector string failed to parse (the typed
-/// [`FromStr`] error for [`BackendChoice`], and what
-/// [`try_choice_from_env`] reports for a malformed `QUGEN_BACKEND`).
+/// [`FromStr`] error for [`BackendChoice`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendParseError {
     /// The backend name matched none of `auto|dense|tableau|mps[:χ]`.
@@ -287,9 +286,8 @@ impl FromStr for BackendChoice {
     type Err = BackendParseError;
 
     /// Parses `auto`, `dense`, `tableau`, `mps`, or `mps:<χ>` (the format
-    /// the `QUGEN_BACKEND` environment variable uses). Surrounding
-    /// whitespace is ignored — env values often pick up stray spaces or a
-    /// trailing newline from shell interpolation.
+    /// of the wire's per-job `backend` field). Surrounding whitespace is
+    /// ignored.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "auto" => Ok(BackendChoice::Auto),
@@ -317,32 +315,6 @@ impl FromStr for BackendChoice {
             }
         }
     }
-}
-
-/// Reads the `QUGEN_BACKEND` environment variable (`auto|dense|tableau|`
-/// `mps[:χ]`) so benches and examples are backend-scriptable from CI
-/// without code edits. Unset means `Ok(`[`BackendChoice::Auto`]`)`.
-///
-/// # Errors
-///
-/// Returns the typed [`BackendParseError`] on a malformed value; callers
-/// that would rather fail a CI job than fall back can `expect` it.
-pub fn try_choice_from_env() -> Result<BackendChoice, BackendParseError> {
-    match std::env::var("QUGEN_BACKEND") {
-        Ok(v) => v.parse(),
-        Err(_) => Ok(BackendChoice::Auto),
-    }
-}
-
-/// [`try_choice_from_env`] with a non-aborting fallback: a malformed
-/// `QUGEN_BACKEND` logs a warning to stderr and resolves to
-/// [`BackendChoice::Auto`], so a typo in the environment cannot abort a
-/// long batch run half-way through.
-pub fn choice_from_env() -> BackendChoice {
-    try_choice_from_env().unwrap_or_else(|e| {
-        eprintln!("warning: QUGEN_BACKEND: {e}; falling back to auto dispatch");
-        BackendChoice::Auto
-    })
 }
 
 /// A concrete engine, after [`resolve`] has applied the dispatch rules.
@@ -568,8 +540,8 @@ mod tests {
 
     #[test]
     fn backend_choice_parsing_ignores_surrounding_whitespace() {
-        // Env values routinely pick up a trailing newline or padding from
-        // shell interpolation; the value inside must still parse strictly.
+        // Padding around the name is forgiven; the value inside must
+        // still parse strictly.
         assert_eq!(" dense ".parse(), Ok(BackendChoice::Dense));
         assert_eq!("\tmps:8\n".parse(), Ok(BackendChoice::Mps { max_bond: 8 }));
         assert_eq!(
@@ -578,25 +550,6 @@ mod tests {
         );
         // Interior whitespace is not forgiven.
         assert!("mps: 8".parse::<BackendChoice>().is_err());
-    }
-
-    #[test]
-    fn malformed_backend_env_falls_back_instead_of_panicking() {
-        // `choice_from_env` reads a process-global; mutating it from a test
-        // would race other threads. Exercise the fallback through the same
-        // seam it uses.
-        let fallback = "definitely-not-a-backend"
-            .parse::<BackendChoice>()
-            .unwrap_or_else(|e| {
-                assert!(matches!(e, BackendParseError::UnknownBackend { .. }));
-                BackendChoice::Auto
-            });
-        assert_eq!(fallback, BackendChoice::Auto);
-        // With the variable unset, the env reader resolves to Auto.
-        if std::env::var("QUGEN_BACKEND").is_err() {
-            assert_eq!(try_choice_from_env(), Ok(BackendChoice::Auto));
-            assert_eq!(choice_from_env(), BackendChoice::Auto);
-        }
     }
 
     #[test]

@@ -226,17 +226,6 @@ impl Distribution {
         }
     }
 
-    /// Builds a distribution from state-vector probabilities (index = word).
-    pub fn from_probabilities(num_clbits: usize, probs: &[f64]) -> Self {
-        let mut d = Distribution::new(num_clbits);
-        for (i, &p) in probs.iter().enumerate() {
-            if p > 0.0 {
-                d.set(i as u64, p);
-            }
-        }
-        d
-    }
-
     /// Sets the probability of an outcome.
     pub fn set(&mut self, outcome: impl Into<OutcomeWord>, p: f64) {
         let outcome = outcome.into();

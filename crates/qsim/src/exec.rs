@@ -136,8 +136,9 @@ pub enum PlanCacheMode {
     /// reuse warm plans.
     #[default]
     Shared,
-    /// A private LRU per built executor, for benchmarks and tests that
-    /// need cold-start compile behavior on demand.
+    /// A private LRU of [`plan::PLAN_CACHE_CAPACITY`] plans per built
+    /// executor, for benchmarks and tests that need cold-start compile
+    /// behavior on demand.
     Private,
 }
 
@@ -145,8 +146,7 @@ pub enum PlanCacheMode {
 /// accreting `with_*` builder chain on [`Executor`] itself.
 ///
 /// All fields are public and `Default` matches [`Executor::ideal`], so
-/// struct-update syntax, the chainable setters, and
-/// [`ExecutorConfig::from_env`] all compose:
+/// struct-update syntax and the chainable setters compose:
 ///
 /// ```
 /// use qsim::backend::BackendChoice;
@@ -156,7 +156,7 @@ pub enum PlanCacheMode {
 ///     .backend(BackendChoice::Dense)
 ///     .threads(4)
 ///     .build();
-/// assert_eq!(exec.threads(), 4);
+/// assert_eq!(exec.config().threads, 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExecutorConfig {
@@ -176,11 +176,6 @@ pub struct ExecutorConfig {
     pub truncation_budget: f64,
     /// Compiled-plan cache mode (default: the shared process-wide LRU).
     pub plan_cache: PlanCacheMode,
-    /// Capacity of a [`PlanCacheMode::Private`] cache, clamped to ≥ 1 at
-    /// build time (default: [`plan::PLAN_CACHE_CAPACITY`]). The shared
-    /// cache sizes itself once from `QUGEN_PLAN_CACHE` at first use
-    /// instead; see [`plan::shared_cache`].
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for ExecutorConfig {
@@ -191,7 +186,6 @@ impl Default for ExecutorConfig {
             threads: 1,
             truncation_budget: DEFAULT_TRUNCATION_BUDGET,
             plan_cache: PlanCacheMode::Shared,
-            plan_cache_capacity: plan::PLAN_CACHE_CAPACITY,
         }
     }
 }
@@ -200,38 +194,6 @@ impl ExecutorConfig {
     /// The default configuration (ideal noise, auto backend, one thread).
     pub fn new() -> Self {
         ExecutorConfig::default()
-    }
-
-    /// Reads the execution environment in one place: `QUGEN_BACKEND`
-    /// (`auto|dense|tableau|mps[:χ]`), `QUGEN_THREADS` (positive integer),
-    /// `QUGEN_TRUNCATION_BUDGET` (`f64`; `inf` for best-effort), and
-    /// `QUGEN_PLAN_CACHE` (positive integer). Malformed values warn to
-    /// stderr and keep the default, so a typo in a deployment environment
-    /// cannot abort a long batch run.
-    pub fn from_env() -> Self {
-        let mut config = ExecutorConfig::new();
-        config.backend = backend::choice_from_env();
-        config.plan_cache_capacity = plan::capacity_from_env();
-        if let Ok(raw) = std::env::var("QUGEN_THREADS") {
-            match raw.trim().parse::<usize>() {
-                Ok(n) if n >= 1 => config.threads = n,
-                _ => eprintln!(
-                    "warning: QUGEN_THREADS: `{raw}` is not a positive integer; keeping {}",
-                    config.threads
-                ),
-            }
-        }
-        if let Ok(raw) = std::env::var("QUGEN_TRUNCATION_BUDGET") {
-            match raw.trim().parse::<f64>() {
-                Ok(b) if b >= 0.0 => config.truncation_budget = b,
-                _ => eprintln!(
-                    "warning: QUGEN_TRUNCATION_BUDGET: `{raw}` is not a non-negative float; \
-                     keeping {}",
-                    config.truncation_budget
-                ),
-            }
-        }
-        config
     }
 
     /// Sets the noise model.
@@ -261,13 +223,6 @@ impl ExecutorConfig {
     /// Sets the compiled-plan cache mode.
     pub fn plan_cache(mut self, mode: PlanCacheMode) -> Self {
         self.plan_cache = mode;
-        self
-    }
-
-    /// Sets the capacity used when [`PlanCacheMode::Private`] builds its
-    /// cache (clamped to ≥ 1 at build time).
-    pub fn plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache_capacity = capacity;
         self
     }
 
@@ -312,7 +267,7 @@ impl Executor {
         let plan_cache = match config.plan_cache {
             PlanCacheMode::Shared => plan::shared_cache(),
             PlanCacheMode::Private => {
-                Arc::new(Mutex::new(PlanCache::new(config.plan_cache_capacity)))
+                Arc::new(Mutex::new(PlanCache::new(plan::PLAN_CACHE_CAPACITY)))
             }
         };
         Executor { config, plan_cache }
@@ -333,26 +288,6 @@ impl Executor {
     /// The active configuration.
     pub fn config(&self) -> &ExecutorConfig {
         &self.config
-    }
-
-    /// The active noise model.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.config.noise
-    }
-
-    /// The configured backend choice.
-    pub fn backend_choice(&self) -> BackendChoice {
-        self.config.backend
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.config.threads
-    }
-
-    /// The configured MPS truncation budget.
-    pub fn truncation_budget(&self) -> f64 {
-        self.config.truncation_budget
     }
 
     /// The cached compiled plan for `circuit` (compiling on first sight).
@@ -1653,60 +1588,6 @@ mod tests {
             .try_run_job(&JobSpec::new(Arc::clone(&qc), 100, 5).with_budget(f64::INFINITY))
             .unwrap();
         assert_eq!(rescued.shots(), 100);
-    }
-
-    #[test]
-    fn executor_config_from_env_parses_and_survives_garbage() {
-        // Env-var tests share process state: one test covers all cases
-        // sequentially rather than racing parallel test threads.
-        let keys = [
-            "QUGEN_BACKEND",
-            "QUGEN_THREADS",
-            "QUGEN_TRUNCATION_BUDGET",
-            "QUGEN_PLAN_CACHE",
-        ];
-        let saved: Vec<_> = keys.iter().map(|k| std::env::var(k).ok()).collect();
-        std::env::set_var("QUGEN_BACKEND", "mps:32");
-        std::env::set_var("QUGEN_THREADS", "8");
-        std::env::set_var("QUGEN_TRUNCATION_BUDGET", "0.5");
-        std::env::set_var("QUGEN_PLAN_CACHE", "128");
-        let config = ExecutorConfig::from_env();
-        assert_eq!(config.backend, BackendChoice::Mps { max_bond: 32 });
-        assert_eq!(config.threads, 8);
-        assert_eq!(config.truncation_budget, 0.5);
-        assert_eq!(config.plan_cache_capacity, 128);
-        // The configured capacity reaches a private cache verbatim.
-        let exec = config.plan_cache(PlanCacheMode::Private).build();
-        assert_eq!(
-            exec.plan_cache.lock().unwrap().capacity(),
-            128,
-            "private cache must be sized from the config"
-        );
-        std::env::set_var("QUGEN_THREADS", "zero");
-        std::env::set_var("QUGEN_TRUNCATION_BUDGET", "-3");
-        std::env::set_var("QUGEN_PLAN_CACHE", "many");
-        let config = ExecutorConfig::from_env();
-        assert_eq!(config.threads, 1, "garbage keeps the default");
-        assert_eq!(config.truncation_budget, DEFAULT_TRUNCATION_BUDGET);
-        assert_eq!(config.plan_cache_capacity, plan::PLAN_CACHE_CAPACITY);
-        std::env::set_var("QUGEN_PLAN_CACHE", "0");
-        assert_eq!(
-            plan::try_capacity_from_env(),
-            Err(plan::PlanCacheParseError::ZeroCapacity)
-        );
-        assert_eq!(
-            ExecutorConfig::from_env().plan_cache_capacity,
-            plan::PLAN_CACHE_CAPACITY,
-            "zero warns and keeps the default"
-        );
-        std::env::set_var("QUGEN_TRUNCATION_BUDGET", "inf");
-        assert_eq!(ExecutorConfig::from_env().truncation_budget, f64::INFINITY);
-        for (k, v) in keys.iter().zip(saved) {
-            match v {
-                Some(v) => std::env::set_var(k, v),
-                None => std::env::remove_var(k),
-            }
-        }
     }
 
     #[test]

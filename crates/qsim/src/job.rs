@@ -1,28 +1,27 @@
 //! The typed job vocabulary shared by in-process batch execution, the
-//! `qugen-serve` daemon, and (eventually) multi-process shard coordinators.
+//! grader's result memo and the `qugen-serve` daemon.
 //!
 //! A [`JobSpec`] replaces the ad-hoc `(&Circuit, u64, u64)` tuples the
 //! batch API grew up on: one value that names everything a simulation job
 //! is — the circuit, the shot budget, the seed, and (optionally) a backend
-//! override and an MPS truncation budget. [`JobStatus`] and [`JobResult`]
-//! complete the vocabulary for services that track jobs through a queue.
+//! override and an MPS truncation budget. [`JobKey`] is its cache
+//! identity.
 //!
 //! # Determinism contract
 //!
 //! A job is a *pure function of its spec*: running the same [`JobSpec`]
 //! (same circuit content, shots, seed, effective backend and effective
-//! truncation budget) produces bit-identical [`Counts`] on every run, for
-//! every executor worker-thread count, on every host — shot chunks are
-//! seeded from `(seed, chunk index)` alone and merged by commutative
-//! outcome-wise addition (see [`crate::exec`]). This is what makes result
+//! truncation budget) produces bit-identical
+//! [`Counts`](crate::dist::Counts) on every run, for every executor
+//! worker-thread count, on every host — shot chunks are seeded from
+//! `(seed, chunk index)` alone and merged by commutative outcome-wise
+//! addition (see [`crate::exec`]). This is what makes result
 //! caching by [`JobKey`] sound, and what lets a service or a shard
 //! coordinator replay, dedupe, or relocate jobs freely.
 
-use crate::backend::{BackendChoice, BackendKind};
-use crate::dist::Counts;
+use crate::backend::BackendChoice;
 use crate::plan;
 use qcir::circuit::Circuit;
-use std::fmt;
 use std::sync::Arc;
 
 /// One simulation job: a circuit plus everything needed to reproduce its
@@ -139,61 +138,6 @@ pub struct JobKey {
     pub budget_bits: u64,
 }
 
-/// Where a job is in its lifecycle (`queued → running → done | failed`).
-///
-/// A cache hit goes straight to `Done`; a submit-time refusal never enters
-/// the table at all (the submission itself returns the typed error).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Accepted and waiting in the bounded work queue.
-    Queued,
-    /// Claimed by a worker; counts are being produced.
-    Running,
-    /// Finished successfully; a [`JobResult`] is available.
-    Done,
-    /// Finished with a typed [`crate::backend::SimError`] (e.g. an MPS
-    /// truncation budget tripped at run time).
-    Failed,
-}
-
-impl JobStatus {
-    /// Stable machine-readable name (`queued|running|done|failed`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-        }
-    }
-
-    /// `true` once the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, JobStatus::Done | JobStatus::Failed)
-    }
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// A finished job's payload.
-///
-/// By the determinism contract (module docs), `counts` depends only on the
-/// job's [`JobKey`] — which is why `cached` is an honest flag and not a
-/// semantic difference: a cached result is bit-identical to re-executing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobResult {
-    /// The measurement counts.
-    pub counts: Counts,
-    /// The engine that (first) produced them.
-    pub backend: BackendKind,
-    /// `true` when served from a result cache instead of executed.
-    pub cached: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,14 +191,5 @@ mod tests {
             BackendChoice::Dense
         );
         assert_eq!(plain.effective_budget(0.01), 0.01);
-    }
-
-    #[test]
-    fn status_names_are_stable() {
-        assert_eq!(JobStatus::Queued.as_str(), "queued");
-        assert_eq!(JobStatus::Running.to_string(), "running");
-        assert!(!JobStatus::Running.is_terminal());
-        assert!(JobStatus::Done.is_terminal());
-        assert!(JobStatus::Failed.is_terminal());
     }
 }

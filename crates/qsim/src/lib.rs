@@ -40,10 +40,9 @@
 //!   [`exec::ExecutorConfig`].
 //! * [`lru`] — the generic least-recently-used map with built-in hit,
 //!   miss and eviction counters behind every cache in the workspace.
-//! * [`job`] — the typed job vocabulary ([`job::JobSpec`] /
-//!   [`job::JobStatus`] / [`job::JobResult`]) shared by in-process batch
-//!   calls, the `qugen-serve` daemon and future shard coordinators, with
-//!   the [`job::JobKey`] cache identity.
+//! * [`job`] — the typed job vocabulary ([`job::JobSpec`] and its
+//!   [`job::JobKey`] cache identity) shared by in-process batch calls,
+//!   the grader's result memo and the `qugen-serve` daemon.
 //! * [`dist`] — measurement-outcome distributions and distance metrics.
 //! * [`word`] — the packed multi-word [`word::OutcomeWord`] classical
 //!   registers those distributions are keyed on: allocation-free inline up
@@ -85,7 +84,7 @@ pub mod word;
 pub use backend::{BackendChoice, SimError};
 pub use dist::Counts;
 pub use exec::{Executor, ExecutorConfig};
-pub use job::{JobKey, JobResult, JobSpec, JobStatus};
+pub use job::{JobKey, JobSpec};
 pub use noise::NoiseModel;
 pub use state::StateVector;
 pub use word::OutcomeWord;

@@ -138,82 +138,10 @@ fn plan_metrics() -> &'static PlanMetrics {
     })
 }
 
-/// Default capacity of the process-wide [`shared_cache`] (and of private
-/// executor caches unless [`crate::exec::ExecutorConfig`] overrides it):
-/// enough for a grading suite's working set of reference + candidate
-/// circuits. Override at runtime with the `QUGEN_PLAN_CACHE` environment
-/// variable.
+/// Capacity of the process-wide [`shared_cache`] and of every
+/// [`crate::exec::PlanCacheMode::Private`] executor cache: enough for a
+/// grading suite's working set of reference + candidate circuits.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
-
-/// Why a `QUGEN_PLAN_CACHE` value failed to parse as a cache capacity
-/// (what [`try_capacity_from_env`] reports).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanCacheParseError {
-    /// The value was not an unsigned integer.
-    NotAnInteger {
-        /// The offending (trimmed) input.
-        value: String,
-    },
-    /// The value parsed to zero; a cache that holds nothing cannot serve.
-    ZeroCapacity,
-}
-
-impl std::fmt::Display for PlanCacheParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanCacheParseError::NotAnInteger { value } => {
-                write!(
-                    f,
-                    "invalid plan-cache capacity `{value}` (expected a positive integer)"
-                )
-            }
-            PlanCacheParseError::ZeroCapacity => {
-                f.write_str("plan-cache capacity must be at least 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PlanCacheParseError {}
-
-/// Parses a plan-cache capacity (the `QUGEN_PLAN_CACHE` grammar): a
-/// positive integer. Surrounding whitespace is ignored — env values often
-/// pick up stray spaces or a trailing newline from shell interpolation.
-pub fn parse_capacity(s: &str) -> Result<usize, PlanCacheParseError> {
-    let trimmed = s.trim();
-    let cap: usize = trimmed
-        .parse()
-        .map_err(|_| PlanCacheParseError::NotAnInteger {
-            value: trimmed.to_string(),
-        })?;
-    if cap == 0 {
-        return Err(PlanCacheParseError::ZeroCapacity);
-    }
-    Ok(cap)
-}
-
-/// The plan-cache capacity the `QUGEN_PLAN_CACHE` environment variable
-/// requests, or [`PLAN_CACHE_CAPACITY`] when unset.
-///
-/// Returns the typed [`PlanCacheParseError`] on a malformed value; callers
-/// that would rather fail a CI job than fall back can `expect` it.
-pub fn try_capacity_from_env() -> Result<usize, PlanCacheParseError> {
-    match std::env::var("QUGEN_PLAN_CACHE") {
-        Ok(v) => parse_capacity(&v),
-        Err(_) => Ok(PLAN_CACHE_CAPACITY),
-    }
-}
-
-/// [`try_capacity_from_env`] with a non-aborting fallback: a malformed
-/// `QUGEN_PLAN_CACHE` logs a warning to stderr and resolves to
-/// [`PLAN_CACHE_CAPACITY`], so a typo in the environment cannot abort a
-/// long batch run half-way through.
-pub fn capacity_from_env() -> usize {
-    try_capacity_from_env().unwrap_or_else(|e| {
-        eprintln!("warning: QUGEN_PLAN_CACHE: {e}; keeping {PLAN_CACHE_CAPACITY}");
-        PLAN_CACHE_CAPACITY
-    })
-}
 
 /// One lowered operation: kernel selection and matrix entries resolved at
 /// compile time, so execution never consults [`Gate::kind`].
@@ -1678,14 +1606,10 @@ pub struct PlanCacheStats {
 /// given a private one — so the grader's fresh per-call executors still
 /// share compiled plans across repeated candidate/reference runs, and the
 /// grader's result memo ([`PlanCache::results`]) lives here too: replacing
-/// the shared cache empties both.
-///
-/// Its capacity is read from `QUGEN_PLAN_CACHE` (via [`capacity_from_env`])
-/// exactly once, at first use; later changes to the variable only affect
-/// private caches built through [`crate::exec::ExecutorConfig::from_env`].
+/// the shared cache empties both. It holds [`PLAN_CACHE_CAPACITY`] plans.
 pub fn shared_cache() -> Arc<Mutex<PlanCache>> {
     static SHARED: OnceLock<Arc<Mutex<PlanCache>>> = OnceLock::new();
-    Arc::clone(SHARED.get_or_init(|| Arc::new(Mutex::new(PlanCache::new(capacity_from_env())))))
+    Arc::clone(SHARED.get_or_init(|| Arc::new(Mutex::new(PlanCache::new(PLAN_CACHE_CAPACITY)))))
 }
 
 #[cfg(test)]
@@ -1774,36 +1698,6 @@ pub(crate) mod tests {
             {
                 assert!(a.approx_eq(*b, 1e-12), "basis {basis}, amp {i}: {a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn capacity_parsing_is_typed_and_trims() {
-        assert_eq!(parse_capacity("128"), Ok(128));
-        assert_eq!(parse_capacity(" 16\n"), Ok(16));
-        assert_eq!(parse_capacity("0"), Err(PlanCacheParseError::ZeroCapacity));
-        assert_eq!(
-            parse_capacity("lots"),
-            Err(PlanCacheParseError::NotAnInteger {
-                value: "lots".into()
-            })
-        );
-        assert_eq!(
-            parse_capacity("-4"),
-            Err(PlanCacheParseError::NotAnInteger { value: "-4".into() })
-        );
-        // Display carries the offending value for the warning line.
-        let shown = PlanCacheParseError::NotAnInteger {
-            value: "lots".into(),
-        }
-        .to_string();
-        assert!(shown.contains("`lots`"), "{shown}");
-        // The env reader resolves to the default when the variable is
-        // unset (mutating process-global env from a test would race; the
-        // exec-level env test exercises the set/garbage paths serially).
-        if std::env::var("QUGEN_PLAN_CACHE").is_err() {
-            assert_eq!(try_capacity_from_env(), Ok(PLAN_CACHE_CAPACITY));
-            assert_eq!(capacity_from_env(), PLAN_CACHE_CAPACITY);
         }
     }
 

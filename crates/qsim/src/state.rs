@@ -97,25 +97,6 @@ impl StateVector {
         }
     }
 
-    /// Fallible constructor for the all-zeros state: returns a typed
-    /// [`SimError`](crate::backend::SimError) past the dense cap instead of
-    /// panicking (the backend layer's entry point).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::QubitCapExceeded`](crate::backend::SimError) when
-    /// `num_qubits` exceeds [`crate::backend::DENSE_QUBIT_CAP`].
-    pub fn try_zero(num_qubits: usize) -> Result<Self, crate::backend::SimError> {
-        if num_qubits > crate::backend::DENSE_QUBIT_CAP {
-            return Err(crate::backend::SimError::QubitCapExceeded {
-                backend: "dense",
-                num_qubits,
-                cap: crate::backend::DENSE_QUBIT_CAP,
-            });
-        }
-        Ok(StateVector::zero(num_qubits))
-    }
-
     /// Resets the state to |0…0> in place, reusing the allocation (the
     /// trajectory executor calls this once per shot).
     pub fn reinit(&mut self) {

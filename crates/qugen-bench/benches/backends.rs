@@ -69,10 +69,7 @@ fn bench_parallel_exec(c: &mut Criterion) {
     }
     ghz.measure_all();
     let noise = qsim::profiles::noisy_nisq();
-    // Scriptable from CI: QUGEN_BACKEND=auto|dense|tableau|mps[:χ]. Use
-    // the strict reader here — a misspelled CI matrix entry should fail
-    // the job, not silently benchmark the wrong backend.
-    let choice = qsim::backend::try_choice_from_env().expect("QUGEN_BACKEND");
+    let choice = BackendChoice::Auto;
     let mut group = c.benchmark_group("parallel_exec");
     for &threads in &[1usize, 8] {
         let exec = ExecutorConfig::new()

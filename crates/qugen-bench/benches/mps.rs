@@ -7,9 +7,8 @@
 //!   `dense_refused_30q` row pins down that the dense backend returns
 //!   `SimError::QubitCapExceeded` for the same ≥30-qubit circuit the MPS
 //!   rows complete — the acceptance evidence in `BENCH_mps.json`.
-//! * `mps_env_backend` — the same workload under the backend selected by
-//!   the `QUGEN_BACKEND` environment variable (`auto|dense|tableau|`
-//!   `mps[:χ]`), so CI can sweep engines without code edits.
+//! * `mps_env_backend` — the same workload at 20 qubits under auto
+//!   dispatch, which routes this short-range general circuit densely.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcir::circuit::Circuit;
@@ -81,24 +80,14 @@ fn bench_mps_brickwork(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_env_selected_backend(c: &mut Criterion) {
-    // QUGEN_BACKEND picks the engine (default auto, which routes this
-    // short-range general circuit densely at 20 qubits). Engines that
-    // cannot run the workload at all (tableau: non-Clifford) are skipped
-    // rather than failing the sweep.
-    // Strict reader: a misspelled CI matrix entry should fail the job,
-    // not silently benchmark the wrong backend.
-    let choice = qsim::backend::try_choice_from_env().expect("QUGEN_BACKEND");
+fn bench_auto_backend(c: &mut Criterion) {
+    let choice = BackendChoice::Auto;
     let qc = brickwork(20, DEPTH, 7);
     let exec = ExecutorConfig::new().backend(choice).build();
-    if let Err(e) = exec.try_run(&qc, 1, 0) {
-        println!("bench: mps_env_backend/brickwork_20q/{choice} skipped ({e})");
-        return;
-    }
     c.bench_function(&format!("mps_env_backend/brickwork_20q/{choice}"), |b| {
         b.iter(|| std::hint::black_box(exec.try_run(&qc, SHOTS, 1).unwrap()))
     });
 }
 
-criterion_group!(benches, bench_mps_brickwork, bench_env_selected_backend);
+criterion_group!(benches, bench_mps_brickwork, bench_auto_backend);
 criterion_main!(benches);

@@ -2,8 +2,8 @@
 //!
 //! The determinism contract ([`qsim::job`] module docs) is what makes this
 //! sound: equal keys imply bit-identical counts, so a cached result *is*
-//! the result — `cached: true` on a [`qsim::job::JobResult`] is an honest
-//! latency note, not an approximation flag. Eviction is least-recently-used
+//! the result — `cached: true` in a `result` reply is an honest latency
+//! note, not an approximation flag. Eviction is least-recently-used
 //! over a logical access clock: the cache is a [`qsim::lru::Lru`], the
 //! same map behind `qsim::plan`'s plan cache.
 
@@ -13,8 +13,9 @@ use qsim::job::JobKey;
 use qsim::lru::Lru;
 use std::sync::Arc;
 
-/// What the cache remembers per key: enough to build a
-/// [`qsim::job::JobResult`] without re-execution.
+/// A finished job's payload: what the cache remembers per key, shared by
+/// `Arc` between the cache and every job-table entry it answers, so a
+/// cache hit never copies the counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedResult {
     /// The counts the job produced.

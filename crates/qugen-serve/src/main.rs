@@ -5,11 +5,11 @@
 //! qugen-serve --stdio                   # one request per stdin line
 //! ```
 //!
-//! The executor configuration comes from the environment
-//! ([`ExecutorConfig::from_env`]: `QUGEN_BACKEND`, `QUGEN_THREADS`,
-//! `QUGEN_TRUNCATION_BUDGET`), then flags shape the service around it.
+//! Workers run [`ServerConfig::default`]'s executor (auto dispatch, one
+//! simulator thread each); clients pin a backend or a truncation budget
+//! per job with the wire's `backend` and `budget` fields. Flags shape the
+//! service around it.
 
-use qsim::exec::ExecutorConfig;
 use qugen_serve::server::{Server, ServerConfig};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -25,12 +25,7 @@ enum Transport {
 
 fn main() -> ExitCode {
     let mut transport = Transport::Stdio;
-    let mut config = ServerConfig {
-        // Per-worker simulator threads default to 1 (parallelism comes
-        // from concurrent jobs); QUGEN_THREADS raises it explicitly.
-        executor: ExecutorConfig::from_env(),
-        ..ServerConfig::default()
-    };
+    let mut config = ServerConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {

@@ -7,9 +7,12 @@
 //! it to [`crate::error::ServeError::QueueFull`] promptly. Workers block on
 //! [`BoundedQueue::pop`], which parks on a condvar until work arrives or
 //! the queue closes for shutdown.
+//!
+//! The lock tolerates poison: each critical section is one push, pop or
+//! flag store, so a panicking holder cannot leave the queue half-updated.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 struct State<T> {
     items: VecDeque<T>,
@@ -36,6 +39,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
+    fn state(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -43,7 +50,7 @@ impl<T> BoundedQueue<T> {
 
     /// Items currently waiting.
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock poisoned").items.len()
+        self.state().items.len()
     }
 
     /// `true` when no items are waiting.
@@ -54,7 +61,7 @@ impl<T> BoundedQueue<T> {
     /// Enqueues `item`, or returns it back when the queue is full or
     /// closed. Never blocks.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.state();
         if state.closed || state.items.len() >= self.capacity {
             return Err(item);
         }
@@ -67,7 +74,7 @@ impl<T> BoundedQueue<T> {
     /// Blocks until an item is available (returning it) or the queue is
     /// closed and drained (returning `None` — the worker's exit signal).
     pub fn pop(&self) -> Option<T> {
-        let mut state = self.state.lock().expect("queue lock poisoned");
+        let mut state = self.state();
         loop {
             if let Some(item) = state.items.pop_front() {
                 return Some(item);
@@ -75,14 +82,17 @@ impl<T> BoundedQueue<T> {
             if state.closed {
                 return None;
             }
-            state = self.ready.wait(state).expect("queue lock poisoned");
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Closes the queue: future pushes are refused, and workers drain the
     /// remaining items before [`BoundedQueue::pop`] returns `None`.
     pub fn close(&self) {
-        self.state.lock().expect("queue lock poisoned").closed = true;
+        self.state().closed = true;
         self.ready.notify_all();
     }
 }
@@ -120,6 +130,27 @@ mod tests {
         assert_eq!(q.try_push(3), Err(3), "closed queue refuses new work");
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_pushes_and_pops() {
+        let q = Arc::new(BoundedQueue::new(4));
+        q.try_push(1).unwrap();
+        let poisoner = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let _guard = q.state.lock().unwrap();
+                panic!("poison the queue lock");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(q.state.is_poisoned());
+        assert_eq!(q.try_push(2), Ok(()));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        q.close();
         assert_eq!(q.pop(), None);
     }
 

@@ -25,7 +25,8 @@
 //!
 //! Workers drive [`Executor::try_run_job`], whose counts are a pure
 //! function of the [`JobKey`] (see [`qsim::job`]). The server exploits
-//! this twice: results are cached process-wide by key, and concurrent
+//! this twice: results are cached process-wide by key (a cache hit and
+//! the job that produced it share one `Arc`'d result), and concurrent
 //! submission order cannot change any job's counts — a serve deployment
 //! returns bit-identical counts to a local [`Executor`] run of the same
 //! spec.
@@ -42,7 +43,9 @@
 //!
 //! Lock discipline: the job-table and cache mutexes are never held at
 //! the same time (cache lookups/inserts bracket the jobs lock on both
-//! the submit and worker paths), so there is no lock-order cycle.
+//! the submit and worker paths), so there is no lock-order cycle. Both
+//! tolerate poison: entries and cached results are replaced whole, so a
+//! panicking holder cannot leave one half-written.
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::error::ServeError;
@@ -50,7 +53,7 @@ use crate::proto::{counts_to_json, Request, MAX_CLBITS};
 use crate::queue::BoundedQueue;
 use qsim::backend::{self, BackendKind};
 use qsim::exec::{recommended_threads, Executor, ExecutorConfig};
-use qsim::job::{JobKey, JobResult, JobSpec, JobStatus};
+use qsim::job::{JobKey, JobSpec};
 use qsim::lru::lock;
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Gauge, Histogram};
 use qugen_telemetry::trace;
@@ -59,7 +62,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -167,15 +170,46 @@ impl Default for ServerConfig {
     }
 }
 
+/// Where a job is in its lifecycle (`queued → running → done | failed`).
+///
+/// A cache hit is born `Done`; a submit-time refusal never enters the
+/// table at all (the submission itself returns the typed error).
+enum JobState {
+    /// Accepted and waiting in the bounded work queue.
+    Queued,
+    /// Claimed by a worker; counts are being produced.
+    Running,
+    /// Finished successfully. `cached` is `true` when the result came
+    /// from the result cache instead of an execution — bit-identical
+    /// either way, by the determinism contract.
+    Done {
+        result: Arc<CachedResult>,
+        cached: bool,
+    },
+    /// Finished with a typed run-time error (e.g. an MPS truncation
+    /// budget tripped while executing).
+    Failed(ServeError),
+}
+
+impl JobState {
+    /// Stable wire name (`queued|running|done|failed`).
+    fn name(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+            JobState::Done { .. } => "done",
+            JobState::Failed(_) => "failed",
+        }
+    }
+}
+
 /// Everything the server remembers about one accepted job.
 struct JobEntry {
     spec: JobSpec,
     key: JobKey,
     backend: BackendKind,
     tag: Option<String>,
-    status: JobStatus,
-    result: Option<JobResult>,
-    error: Option<ServeError>,
+    state: JobState,
 }
 
 /// The job map plus a bounded window of terminal entries. Terminal jobs
@@ -265,11 +299,6 @@ impl Server {
             })
             .collect();
         Server { inner, workers }
-    }
-
-    /// A service with [`ServerConfig::default`].
-    pub fn with_defaults() -> Self {
-        Server::new(ServerConfig::default())
     }
 
     /// Handles one request line and returns the one response line
@@ -393,53 +422,39 @@ impl Server {
             inner.submitted.fetch_add(1, Ordering::Relaxed);
             m.submitted.inc();
             m.cache_hits.inc();
-            let result = JobResult {
-                counts: hit.counts.clone(),
-                backend: hit.backend,
-                cached: true,
-            };
             let entry = JobEntry {
                 spec,
                 key,
                 backend: hit.backend,
-                tag: tag.clone(),
-                status: JobStatus::Done,
-                result: Some(result),
-                error: None,
+                tag,
+                state: JobState::Done {
+                    result: hit,
+                    cached: true,
+                },
             };
-            let mut jobs = inner.jobs.lock().expect("job table poisoned");
+            let reply = submit_reply(id, &entry);
+            let mut jobs = lock(&inner.jobs);
             jobs.map.insert(id, entry);
             jobs.mark_terminal(id);
             drop(jobs);
             inner.done.notify_all();
-            return Ok(submit_reply(id, JobStatus::Done, true, &tag));
+            return Ok(reply);
         }
 
         let entry = JobEntry {
             spec,
             key,
             backend: resolved,
-            tag: tag.clone(),
-            status: JobStatus::Queued,
-            result: None,
-            error: None,
+            tag,
+            state: JobState::Queued,
         };
-        inner
-            .jobs
-            .lock()
-            .expect("job table poisoned")
-            .map
-            .insert(id, entry);
+        let reply = submit_reply(id, &entry);
+        lock(&inner.jobs).map.insert(id, entry);
         if inner.queue.try_push(id).is_err() {
             // Give the slot back atomically with the refusal: the job id
             // was never visible to the client, so remove the entry. A
             // refused submission never counts as submitted.
-            inner
-                .jobs
-                .lock()
-                .expect("job table poisoned")
-                .map
-                .remove(&id);
+            lock(&inner.jobs).map.remove(&id);
             return Err(ServeError::QueueFull {
                 capacity: inner.queue.capacity(),
             });
@@ -448,16 +463,16 @@ impl Server {
         m.submitted.inc();
         m.cache_misses.inc();
         m.queue_depth.set(inner.queue.len() as i64);
-        Ok(submit_reply(id, JobStatus::Queued, false, &tag))
+        Ok(reply)
     }
 
     fn status(&self, id: u64) -> Result<Json, ServeError> {
-        let jobs = self.inner.jobs.lock().expect("job table poisoned");
+        let jobs = lock(&self.inner.jobs);
         let entry = jobs.map.get(&id).ok_or(ServeError::UnknownJob { id })?;
         Ok(obj([
             ("ok", Json::Bool(true)),
             ("job", Json::Int(id as i128)),
-            ("status", str_json(entry.status.as_str())),
+            ("status", str_json(entry.state.name())),
             ("backend", str_json(entry.backend.name())),
         ]))
     }
@@ -472,11 +487,11 @@ impl Server {
     /// or a drained shutdown). Clients are never parked forever.
     fn result(&self, id: u64, wait: bool) -> Result<Json, ServeError> {
         let inner = &self.inner;
-        let mut jobs = inner.jobs.lock().expect("job table poisoned");
+        let mut jobs = lock(&inner.jobs);
         loop {
             let entry = jobs.map.get(&id).ok_or(ServeError::UnknownJob { id })?;
-            if entry.status.is_terminal() {
-                return Ok(render_terminal(id, entry));
+            if let Some(reply) = render_terminal(id, entry) {
+                return Ok(reply);
             }
             if !wait || inner.live_workers.load(Ordering::SeqCst) == 0 {
                 if wait {
@@ -489,13 +504,13 @@ impl Server {
                 return Ok(obj([
                     ("ok", Json::Bool(true)),
                     ("job", Json::Int(id as i128)),
-                    ("status", str_json(entry.status.as_str())),
+                    ("status", str_json(entry.state.name())),
                 ]));
             }
             let (guard, _timed_out) = inner
                 .done
                 .wait_timeout(jobs, Duration::from_millis(100))
-                .expect("job table poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             jobs = guard;
         }
     }
@@ -512,10 +527,7 @@ impl Server {
             ("workers", Json::Int(self.workers.len() as i128)),
             ("queue_depth", Json::Int(inner.queue.len() as i128)),
             ("queue_capacity", Json::Int(inner.queue.capacity() as i128)),
-            (
-                "jobs",
-                Json::Int(inner.jobs.lock().expect("job table poisoned").map.len() as i128),
-            ),
+            ("jobs", Json::Int(lock(&inner.jobs).map.len() as i128)),
             (
                 "live_workers",
                 Json::Int(inner.live_workers.load(Ordering::SeqCst) as i128),
@@ -652,10 +664,10 @@ fn worker_loop(inner: &Inner) {
     while let Some(id) = inner.queue.pop() {
         m.queue_depth.set(inner.queue.len() as i64);
         let (spec, key, backend) = {
-            let mut jobs = inner.jobs.lock().expect("job table poisoned");
+            let mut jobs = lock(&inner.jobs);
             match jobs.map.get_mut(&id) {
                 Some(entry) => {
-                    entry.status = JobStatus::Running;
+                    entry.state = JobState::Running;
                     (entry.spec.clone(), entry.key, entry.backend)
                 }
                 None => continue,
@@ -674,31 +686,20 @@ fn worker_loop(inner: &Inner) {
         // Cache insert happens before (not inside) the jobs lock: every
         // site holds at most one of the two mutexes at a time, so the
         // cache/jobs pair cannot form a lock-order cycle with `submit`.
-        if let Ok(counts) = &outcome {
-            lock(&inner.cache).insert(
-                key,
-                Arc::new(CachedResult {
-                    counts: counts.clone(),
-                    backend,
-                }),
-            );
-        }
-        let mut jobs = inner.jobs.lock().expect("job table poisoned");
-        if let Some(entry) = jobs.map.get_mut(&id) {
-            match outcome {
-                Ok(counts) => {
-                    entry.result = Some(JobResult {
-                        counts,
-                        backend: entry.backend,
-                        cached: false,
-                    });
-                    entry.status = JobStatus::Done;
-                }
-                Err(e) => {
-                    entry.error = Some(ServeError::Sim(e));
-                    entry.status = JobStatus::Failed;
+        let state = match outcome {
+            Ok(counts) => {
+                let result = Arc::new(CachedResult { counts, backend });
+                lock(&inner.cache).insert(key, Arc::clone(&result));
+                JobState::Done {
+                    result,
+                    cached: false,
                 }
             }
+            Err(e) => JobState::Failed(ServeError::Sim(e)),
+        };
+        let mut jobs = lock(&inner.jobs);
+        if let Some(entry) = jobs.map.get_mut(&id) {
+            entry.state = state;
             jobs.mark_terminal(id);
         }
         drop(jobs);
@@ -742,30 +743,35 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result
     }
 }
 
-fn submit_reply(id: u64, status: JobStatus, cached: bool, tag: &Option<String>) -> Json {
+/// The submit reply: the job id, its state at birth (`queued`, or `done`
+/// for a cache hit) and the client's tag.
+fn submit_reply(id: u64, entry: &JobEntry) -> Json {
+    let cached = matches!(entry.state, JobState::Done { cached: true, .. });
     let mut fields = vec![
         ("ok", Json::Bool(true)),
         ("job", Json::Int(id as i128)),
-        ("status", str_json(status.as_str())),
+        ("status", str_json(entry.state.name())),
         ("cached", Json::Bool(cached)),
     ];
-    if let Some(tag) = tag {
+    if let Some(tag) = &entry.tag {
         fields.push(("tag", Json::Str(tag.clone())));
     }
     obj(fields)
 }
 
-/// Renders a terminal job: counts for `Done`, the stored typed error
-/// (plus the job id) for `Failed`.
-fn render_terminal(id: u64, entry: &JobEntry) -> Json {
-    match (&entry.result, &entry.error) {
-        (Some(result), _) => {
+/// Renders a terminal job — counts for `Done`, the stored typed error
+/// (plus the job id) for `Failed` — or `None` while the job is still
+/// queued or running.
+fn render_terminal(id: u64, entry: &JobEntry) -> Option<Json> {
+    match &entry.state {
+        JobState::Queued | JobState::Running => None,
+        JobState::Done { result, cached } => {
             let mut fields = vec![
                 ("ok", Json::Bool(true)),
                 ("job", Json::Int(id as i128)),
-                ("status", str_json(JobStatus::Done.as_str())),
+                ("status", str_json(entry.state.name())),
                 ("backend", str_json(result.backend.name())),
-                ("cached", Json::Bool(result.cached)),
+                ("cached", Json::Bool(*cached)),
                 ("shots", Json::Int(result.counts.shots() as i128)),
                 ("clbits", Json::Int(result.counts.num_clbits() as i128)),
                 ("counts", counts_to_json(&result.counts)),
@@ -773,17 +779,16 @@ fn render_terminal(id: u64, entry: &JobEntry) -> Json {
             if let Some(tag) = &entry.tag {
                 fields.push(("tag", Json::Str(tag.clone())));
             }
-            obj(fields)
+            Some(obj(fields))
         }
-        (None, Some(error)) => {
+        JobState::Failed(error) => {
             let mut json = error.to_json();
             if let Json::Obj(map) = &mut json {
                 map.insert("job".to_string(), Json::Int(id as i128));
-                map.insert("status".to_string(), str_json(JobStatus::Failed.as_str()));
+                map.insert("status".to_string(), str_json(entry.state.name()));
             }
-            json
+            Some(json)
         }
-        (None, None) => unreachable!("terminal job with neither result nor error"),
     }
 }
 

@@ -18,7 +18,7 @@ use qugen_wire::Json;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Histogram bucket count: bit lengths 0 (zero) through 63 (≥ 2^62).
 pub const HISTOGRAM_BUCKETS: usize = 64;
@@ -233,13 +233,20 @@ enum Metric {
 
 static REGISTRY: Mutex<BTreeMap<&'static str, Metric>> = Mutex::new(BTreeMap::new());
 
+/// Locks the registry whether or not a holder panicked: a type-mismatch
+/// panic fires before any insert, and every insert is one whole entry,
+/// so a poisoned registry is still consistent.
+fn lock_registry() -> MutexGuard<'static, BTreeMap<&'static str, Metric>> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The counter registered under `name`, interning it on first use.
 ///
 /// # Panics
 ///
 /// When `name` is already registered as a different metric type.
 pub fn counter(name: &'static str) -> &'static Counter {
-    let mut registry = REGISTRY.lock().expect("metric registry poisoned");
+    let mut registry = lock_registry();
     match registry.entry(name) {
         Entry::Occupied(e) => match e.get() {
             Metric::Counter(c) => c,
@@ -259,7 +266,7 @@ pub fn counter(name: &'static str) -> &'static Counter {
 ///
 /// When `name` is already registered as a different metric type.
 pub fn gauge(name: &'static str) -> &'static Gauge {
-    let mut registry = REGISTRY.lock().expect("metric registry poisoned");
+    let mut registry = lock_registry();
     match registry.entry(name) {
         Entry::Occupied(e) => match e.get() {
             Metric::Gauge(g) => g,
@@ -279,7 +286,7 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 ///
 /// When `name` is already registered as a different metric type.
 pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut registry = REGISTRY.lock().expect("metric registry poisoned");
+    let mut registry = lock_registry();
     match registry.entry(name) {
         Entry::Occupied(e) => match e.get() {
             Metric::Histogram(h) => h,
@@ -295,7 +302,7 @@ pub fn histogram(name: &'static str) -> &'static Histogram {
 
 /// Every registered metric with its current value, name-sorted.
 pub fn snapshot() -> Vec<(&'static str, MetricValue)> {
-    let registry = REGISTRY.lock().expect("metric registry poisoned");
+    let registry = lock_registry();
     registry
         .iter()
         .map(|(name, metric)| {

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// `QUGEN_TRACE` gate: 0 = uninitialized, 1 = off, 2 = on.
@@ -45,6 +45,13 @@ enum Sink {
 }
 
 static SINK: Mutex<Option<Sink>> = Mutex::new(None);
+
+/// Locks the sink whether or not a holder panicked: the sink is only ever
+/// replaced whole, so a poisoned one is still consistent, and tracing
+/// must never take down the process it observes.
+fn lock_sink() -> MutexGuard<'static, Option<Sink>> {
+    SINK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The instant `ts_us` offsets are measured from (first trace init).
 fn epoch() -> Instant {
@@ -82,7 +89,7 @@ fn init_from_env() -> bool {
     };
     let on = sink.is_some();
     epoch();
-    *SINK.lock().expect("trace sink poisoned") = sink;
+    *lock_sink() = sink;
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
     on
 }
@@ -93,21 +100,25 @@ fn init_from_env() -> bool {
 pub fn install_capture() -> Arc<Mutex<Vec<String>>> {
     let buffer = Arc::new(Mutex::new(Vec::new()));
     epoch();
-    *SINK.lock().expect("trace sink poisoned") = Some(Sink::Capture(Arc::clone(&buffer)));
+    *lock_sink() = Some(Sink::Capture(Arc::clone(&buffer)));
     STATE.store(2, Ordering::Relaxed);
     buffer
 }
 
 /// Disables tracing (tests restore a known state with this).
 pub fn disable() {
-    *SINK.lock().expect("trace sink poisoned") = None;
+    *lock_sink() = None;
     STATE.store(1, Ordering::Relaxed);
 }
 
 fn emit(line: &str) {
-    let mut sink = SINK.lock().expect("trace sink poisoned");
+    let mut sink = lock_sink();
     match sink.as_mut() {
-        Some(Sink::Stderr) => eprintln!("{line}"),
+        // Write errors (a closed stderr) are dropped like the file arm's:
+        // `eprintln!` would panic here with the sink locked.
+        Some(Sink::Stderr) => {
+            let _ = writeln!(std::io::stderr(), "{line}");
+        }
         Some(Sink::File(file)) => {
             // One write per line: O_APPEND keeps lines whole even when
             // several processes (shard workers) share the file.
@@ -115,7 +126,7 @@ fn emit(line: &str) {
         }
         Some(Sink::Capture(buffer)) => buffer
             .lock()
-            .expect("capture buffer poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(line.to_string()),
         None => {}
     }

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! cargo run --example mps_low_entanglement --release
-//! QUGEN_BACKEND=mps:16 cargo run --example mps_low_entanglement --release
 //! ```
 //!
 //! A 32-qubit 1D brickwork circuit (per-qubit RY rotations + nearest-
@@ -13,12 +12,9 @@
 //! auto-dispatch, and prints the bond dimension the state actually needed
 //! plus the truncation ledger. A small cross-check at 10 qubits confirms
 //! MPS and dense sampling agree.
-//!
-//! The backend is scriptable via `QUGEN_BACKEND` (`auto|dense|tableau|`
-//! `mps[:χ]`) for the cross-check stage.
 
 use qugen::qcir::circuit::Circuit;
-use qugen::qsim::backend::{choice_from_env, BackendChoice};
+use qugen::qsim::backend::BackendChoice;
 use qugen::qsim::exec::{Executor, ExecutorConfig};
 use qugen::qsim::mps::MpsState;
 
@@ -76,24 +72,18 @@ pub fn main() {
         mps.discarded_weight()
     );
 
-    // 4. Cross-check at a dense-simulable size, backend from QUGEN_BACKEND:
-    //    sampled counts on the selected backend against the *exact* dense
-    //    distribution. Engines that cannot run the workload at all
-    //    (tableau: non-Clifford) skip the stage instead of panicking.
+    // 4. Cross-check at a dense-simulable size: sampled counts under auto
+    //    dispatch against the *exact* dense distribution.
     let small = brickwork(8, 2);
-    let choice = choice_from_env();
+    let choice = BackendChoice::Auto;
     let exact = Executor::try_ideal_distribution(&small, 2)
         .expect("8 qubits fits the dense engine exactly");
-    match ExecutorConfig::new()
+    let counts = ExecutorConfig::new()
         .backend(choice)
         .build()
         .try_run(&small, 8192, 3)
-    {
-        Ok(counts) => {
-            let tvd = exact.tvd(&counts.to_distribution());
-            println!("8-qubit cross-check vs exact dense ({choice}): tvd = {tvd:.4}");
-            assert!(tvd < 0.1, "backends disagree: tvd = {tvd}");
-        }
-        Err(e) => println!("8-qubit cross-check skipped for backend {choice}: {e}"),
-    }
+        .expect("8 qubits runs under auto dispatch");
+    let tvd = exact.tvd(&counts.to_distribution());
+    println!("8-qubit cross-check vs exact dense ({choice}): tvd = {tvd:.4}");
+    assert!(tvd < 0.1, "backends disagree: tvd = {tvd}");
 }
