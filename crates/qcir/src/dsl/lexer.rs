@@ -3,14 +3,14 @@
 use crate::diag::{DiagCode, Diagnostic, Span};
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+/// A lexical token. Identifiers and number texts borrow the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Numeric literal; raw text kept so `import qasmlite 2.1` can recover
     /// the version string exactly.
-    Number { value: f64, raw: String },
+    Number { value: f64, raw: &'a str },
     /// `[`
     LBracket,
     /// `]`
@@ -43,7 +43,7 @@ pub enum Tok {
     Dot,
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -68,10 +68,10 @@ impl fmt::Display for Tok {
 }
 
 /// A token with its source location.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpannedTok {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpannedTok<'a> {
     /// The token.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// Its location.
     pub span: Span,
 }
@@ -82,7 +82,7 @@ pub struct SpannedTok {
 ///
 /// Returns a [`Diagnostic`] with code [`DiagCode::LexError`] on the first
 /// unrecognized character or malformed number.
-pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
+pub fn lex(src: &str) -> Result<Vec<SpannedTok<'_>>, Diagnostic> {
     let mut toks = Vec::new();
     let bytes = src.as_bytes();
     let mut i = 0;
@@ -183,10 +183,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                     )
                 })?;
                 toks.push(SpannedTok {
-                    tok: Tok::Number {
-                        value,
-                        raw: raw.to_string(),
-                    },
+                    tok: Tok::Number { value, raw },
                     span: Span::at(line, col),
                 });
                 col += (i - start) as u32;
@@ -203,7 +200,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
                 }
                 let text = &src[start..i];
                 toks.push(SpannedTok {
-                    tok: Tok::Ident(text.to_string()),
+                    tok: Tok::Ident(text),
                     span: Span::at(line, col),
                 });
                 col += (i - start) as u32;
@@ -224,7 +221,7 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, Diagnostic> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Tok> {
+    fn kinds(src: &str) -> Vec<Tok<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
 
@@ -234,12 +231,12 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Tok::Ident("h".into()),
-                Tok::Ident("q".into()),
+                Tok::Ident("h"),
+                Tok::Ident("q"),
                 Tok::LBracket,
                 Tok::Number {
                     value: 0.0,
-                    raw: "0".into()
+                    raw: "0"
                 },
                 Tok::RBracket,
                 Tok::Semi,
@@ -277,10 +274,7 @@ mod tests {
     #[test]
     fn spans_track_lines() {
         let toks = lex("h q[0];\ncx q[0], q[1];\n").unwrap();
-        let cx = toks
-            .iter()
-            .find(|t| t.tok == Tok::Ident("cx".into()))
-            .unwrap();
+        let cx = toks.iter().find(|t| t.tok == Tok::Ident("cx")).unwrap();
         assert_eq!(cx.span.line, 2);
         assert_eq!(cx.span.col, 1);
     }
@@ -303,8 +297,8 @@ mod tests {
         let toks = lex("import qasmlite 2.1;").unwrap();
         let raw: Vec<&str> = toks
             .iter()
-            .filter_map(|t| match &t.tok {
-                Tok::Number { raw, .. } => Some(raw.as_str()),
+            .filter_map(|t| match t.tok {
+                Tok::Number { raw, .. } => Some(raw),
                 _ => None,
             })
             .collect();

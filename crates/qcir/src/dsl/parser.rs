@@ -27,20 +27,16 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
 /// nor evaluation, nor dropping the tree can overflow the stack.
 pub const MAX_EXPR_DEPTH: usize = 128;
 
-struct Parser {
-    toks: Vec<SpannedTok>,
+struct Parser<'a> {
+    toks: Vec<SpannedTok<'a>>,
     pos: usize,
     /// Parentheses and unary minuses open around the current token.
     nesting: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
-    }
-
-    fn peek2(&self) -> Option<&Tok> {
-        self.toks.get(self.pos + 1).map(|t| &t.tok)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|t| t.tok)
     }
 
     fn span(&self) -> Span {
@@ -51,8 +47,10 @@ impl Parser {
             .unwrap_or_default()
     }
 
-    fn bump(&mut self) -> Option<SpannedTok> {
-        let t = self.toks.get(self.pos).cloned();
+    /// The current token, stepping past it. Tokens borrow the source, so
+    /// this is a plain copy that allocates nothing.
+    fn bump(&mut self) -> Option<SpannedTok<'a>> {
+        let t = self.toks.get(self.pos).copied();
         self.pos += 1;
         t
     }
@@ -90,7 +88,7 @@ impl Parser {
         result
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<Span, Diagnostic> {
+    fn expect(&mut self, tok: Tok<'_>, what: &str) -> Result<Span, Diagnostic> {
         match self.peek() {
             Some(t) if t == tok => Ok(self.bump().expect("peeked").span),
             Some(t) => Err(self.err(format!("expected {what}, found {t}"))),
@@ -98,15 +96,9 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<(String, Span), Diagnostic> {
+    fn expect_ident(&mut self, what: &str) -> Result<(&'a str, Span), Diagnostic> {
         match self.peek() {
-            Some(Tok::Ident(_)) => {
-                let t = self.bump().expect("peeked");
-                match t.tok {
-                    Tok::Ident(name) => Ok((name, t.span)),
-                    _ => unreachable!(),
-                }
-            }
+            Some(Tok::Ident(name)) => Ok((name, self.bump().expect("peeked").span)),
             Some(t) => Err(self.err(format!("expected {what}, found {t}"))),
             None => Err(self.err(format!("expected {what}, found end of input"))),
         }
@@ -114,8 +106,7 @@ impl Parser {
 
     fn expect_usize(&mut self, what: &str) -> Result<(usize, Span), Diagnostic> {
         match self.peek() {
-            Some(Tok::Number { value, .. }) => {
-                let v = *value;
+            Some(Tok::Number { value: v, .. }) => {
                 let t = self.bump().expect("peeked");
                 if v.fract() != 0.0 || v < 0.0 {
                     return Err(Diagnostic::error(
@@ -141,7 +132,7 @@ impl Parser {
 
     fn item(&mut self) -> Result<Item, Diagnostic> {
         match self.peek() {
-            Some(Tok::Ident(kw)) => match kw.as_str() {
+            Some(Tok::Ident(kw)) => match kw {
                 "import" => self.import(),
                 "qreg" => self.reg_decl(RegKind::Quantum),
                 "creg" => self.reg_decl(RegKind::Classical),
@@ -157,25 +148,24 @@ impl Parser {
         let (_, span) = self.expect_ident("`import`")?;
         // Dotted module path.
         let (first, _) = self.expect_ident("module name")?;
-        let mut module = first;
-        while self.peek() == Some(&Tok::Dot) {
+        let mut module = first.to_string();
+        while self.peek() == Some(Tok::Dot) {
             self.bump();
             let (part, _) = self.expect_ident("module path segment")?;
             module.push('.');
-            module.push_str(&part);
+            module.push_str(part);
         }
         // Version literal: a float like 2.1 lexes as a single number, but an
         // integer major version ("import qasmlite 2;") lexes as an integer.
         let version = match self.peek() {
             Some(Tok::Number { raw, .. }) => {
-                let raw = raw.clone();
                 self.bump();
-                raw
+                raw.to_string()
             }
             Some(t) => return Err(self.err(format!("expected a version number, found {t}"))),
             None => return Err(self.err("expected a version number, found end of input")),
         };
-        self.expect(&Tok::Semi, "`;` after import")?;
+        self.expect(Tok::Semi, "`;` after import")?;
         Ok(Item::Import {
             module,
             version,
@@ -186,13 +176,13 @@ impl Parser {
     fn reg_decl(&mut self, kind: RegKind) -> Result<Item, Diagnostic> {
         let (_, span) = self.expect_ident("register keyword")?;
         let (name, _) = self.expect_ident("register name")?;
-        self.expect(&Tok::LBracket, "`[`")?;
+        self.expect(Tok::LBracket, "`[`")?;
         let (size, _) = self.expect_usize("register size")?;
-        self.expect(&Tok::RBracket, "`]`")?;
-        self.expect(&Tok::Semi, "`;` after register declaration")?;
+        self.expect(Tok::RBracket, "`]`")?;
+        self.expect(Tok::Semi, "`;` after register declaration")?;
         Ok(Item::RegDecl {
             kind,
-            name,
+            name: name.to_string(),
             size,
             span,
         })
@@ -202,42 +192,42 @@ impl Parser {
         let (_, span) = self.expect_ident("`gate`")?;
         let (name, _) = self.expect_ident("gate definition name")?;
         let mut params = Vec::new();
-        if self.peek() == Some(&Tok::LParen) {
+        if self.peek() == Some(Tok::LParen) {
             self.bump();
-            if self.peek() != Some(&Tok::RParen) {
+            if self.peek() != Some(Tok::RParen) {
                 loop {
                     let (p, _) = self.expect_ident("parameter name")?;
-                    params.push(p);
-                    if self.peek() == Some(&Tok::Comma) {
+                    params.push(p.to_string());
+                    if self.peek() == Some(Tok::Comma) {
                         self.bump();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&Tok::RParen, "`)` after parameters")?;
+            self.expect(Tok::RParen, "`)` after parameters")?;
         }
         let mut operands = Vec::new();
         loop {
             let (o, _) = self.expect_ident("operand name")?;
-            operands.push(o);
-            if self.peek() == Some(&Tok::Comma) {
+            operands.push(o.to_string());
+            if self.peek() == Some(Tok::Comma) {
                 self.bump();
             } else {
                 break;
             }
         }
-        self.expect(&Tok::LBrace, "`{` opening the gate body")?;
+        self.expect(Tok::LBrace, "`{` opening the gate body")?;
         let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
+        while self.peek() != Some(Tok::RBrace) {
             if self.peek().is_none() {
                 return Err(self.err("unclosed gate body: expected `}`"));
             }
             body.push(self.gate_app()?);
         }
-        self.expect(&Tok::RBrace, "`}`")?;
+        self.expect(Tok::RBrace, "`}`")?;
         Ok(Item::GateDef {
-            name,
+            name: name.to_string(),
             params,
             operands,
             body,
@@ -247,7 +237,7 @@ impl Parser {
 
     fn stmt(&mut self) -> Result<Stmt, Diagnostic> {
         match self.peek() {
-            Some(Tok::Ident(kw)) => match kw.as_str() {
+            Some(Tok::Ident(kw)) => match kw {
                 "measure" => self.measure(),
                 "reset" => self.reset(),
                 "barrier" => self.barrier(),
@@ -262,49 +252,49 @@ impl Parser {
     fn measure(&mut self) -> Result<Stmt, Diagnostic> {
         let (_, span) = self.expect_ident("`measure`")?;
         let src = self.operand()?;
-        self.expect(&Tok::Arrow, "`->` in measure statement")?;
+        self.expect(Tok::Arrow, "`->` in measure statement")?;
         let dst = self.operand()?;
-        self.expect(&Tok::Semi, "`;` after measure")?;
+        self.expect(Tok::Semi, "`;` after measure")?;
         Ok(Stmt::Measure { src, dst, span })
     }
 
     fn reset(&mut self) -> Result<Stmt, Diagnostic> {
         let (_, span) = self.expect_ident("`reset`")?;
         let target = self.operand()?;
-        self.expect(&Tok::Semi, "`;` after reset")?;
+        self.expect(Tok::Semi, "`;` after reset")?;
         Ok(Stmt::Reset { target, span })
     }
 
     fn barrier(&mut self) -> Result<Stmt, Diagnostic> {
         let (_, span) = self.expect_ident("`barrier`")?;
         let mut targets = Vec::new();
-        if self.peek() != Some(&Tok::Semi) {
+        if self.peek() != Some(Tok::Semi) {
             loop {
                 targets.push(self.operand()?);
-                if self.peek() == Some(&Tok::Comma) {
+                if self.peek() == Some(Tok::Comma) {
                     self.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(&Tok::Semi, "`;` after barrier")?;
+        self.expect(Tok::Semi, "`;` after barrier")?;
         Ok(Stmt::Barrier { targets, span })
     }
 
     fn if_stmt(&mut self) -> Result<Stmt, Diagnostic> {
         let (_, span) = self.expect_ident("`if`")?;
-        self.expect(&Tok::LParen, "`(` after `if`")?;
+        self.expect(Tok::LParen, "`(` after `if`")?;
         let (reg, _) = self.expect_ident("classical register name")?;
-        self.expect(&Tok::LBracket, "`[`")?;
+        self.expect(Tok::LBracket, "`[`")?;
         let (index, _) = self.expect_usize("bit index")?;
-        self.expect(&Tok::RBracket, "`]`")?;
-        self.expect(&Tok::EqEq, "`==`")?;
+        self.expect(Tok::RBracket, "`]`")?;
+        self.expect(Tok::EqEq, "`==`")?;
         let (value, _) = self.expect_usize("comparison value")?;
-        self.expect(&Tok::RParen, "`)` closing the condition")?;
+        self.expect(Tok::RParen, "`)` closing the condition")?;
         let app = self.gate_app()?;
         Ok(Stmt::If {
-            reg,
+            reg: reg.to_string(),
             index,
             value: value as u64,
             app,
@@ -315,32 +305,32 @@ impl Parser {
     fn gate_app(&mut self) -> Result<GateApp, Diagnostic> {
         let (name, span) = self.expect_ident("a gate name")?;
         let mut params = Vec::new();
-        if self.peek() == Some(&Tok::LParen) {
+        if self.peek() == Some(Tok::LParen) {
             self.bump();
-            if self.peek() != Some(&Tok::RParen) {
+            if self.peek() != Some(Tok::RParen) {
                 loop {
                     params.push(self.expr()?.0);
-                    if self.peek() == Some(&Tok::Comma) {
+                    if self.peek() == Some(Tok::Comma) {
                         self.bump();
                     } else {
                         break;
                     }
                 }
             }
-            self.expect(&Tok::RParen, "`)` after gate parameters")?;
+            self.expect(Tok::RParen, "`)` after gate parameters")?;
         }
         let mut operands = Vec::new();
         loop {
             operands.push(self.operand()?);
-            if self.peek() == Some(&Tok::Comma) {
+            if self.peek() == Some(Tok::Comma) {
                 self.bump();
             } else {
                 break;
             }
         }
-        self.expect(&Tok::Semi, "`;` after gate application")?;
+        self.expect(Tok::Semi, "`;` after gate application")?;
         Ok(GateApp {
-            name,
+            name: name.to_string(),
             params,
             operands,
             span,
@@ -349,10 +339,10 @@ impl Parser {
 
     fn operand(&mut self) -> Result<Operand, Diagnostic> {
         let (reg, span) = self.expect_ident("a register operand")?;
-        if self.peek() == Some(&Tok::LBracket) {
+        if self.peek() == Some(Tok::LBracket) {
             self.bump();
             let (index, _) = self.expect_usize("qubit index")?;
-            self.expect(&Tok::RBracket, "`]`")?;
+            self.expect(Tok::RBracket, "`]`")?;
             Ok(Operand::indexed(reg, index, span))
         } else {
             Ok(Operand::whole(reg, span))
@@ -405,17 +395,16 @@ impl Parser {
     fn factor(&mut self) -> Result<(Expr, usize), Diagnostic> {
         match self.peek() {
             Some(Tok::Number { value, .. }) => {
-                let v = *value;
                 self.bump();
-                Ok((Expr::Num(v), 1))
+                Ok((Expr::Num(value), 1))
             }
-            Some(Tok::Ident(name)) if name == "pi" => {
+            Some(Tok::Ident("pi")) => {
                 self.bump();
                 Ok((Expr::Pi, 1))
             }
             Some(Tok::Ident(_)) => {
                 let (name, _) = self.expect_ident("parameter")?;
-                Ok((Expr::Ident(name), 1))
+                Ok((Expr::Ident(name.to_string()), 1))
             }
             Some(Tok::Minus) => {
                 self.bump();
@@ -425,20 +414,13 @@ impl Parser {
             Some(Tok::LParen) => {
                 self.bump();
                 let e = self.nested(Self::expr)?;
-                self.expect(&Tok::RParen, "`)` closing the expression")?;
+                self.expect(Tok::RParen, "`)` closing the expression")?;
                 Ok(e)
             }
             Some(t) => Err(self.err(format!("expected an angle expression, found {t}"))),
             None => Err(self.err("expected an angle expression, found end of input")),
         }
     }
-}
-
-// `peek2` is currently unused by the grammar but kept for forward-compat
-// with lookahead-2 productions; silence the lint in a targeted way.
-#[allow(dead_code)]
-fn _peek2_is_api(p: &Parser) -> Option<&Tok> {
-    p.peek2()
 }
 
 #[cfg(test)]

@@ -786,6 +786,9 @@ fn render_terminal(id: u64, entry: &JobEntry) -> Option<Json> {
             if let Json::Obj(map) = &mut json {
                 map.insert("job".to_string(), Json::Int(id as i128));
                 map.insert("status".to_string(), str_json(entry.state.name()));
+                if let Some(tag) = &entry.tag {
+                    map.insert("tag".to_string(), Json::Str(tag.clone()));
+                }
             }
             Some(json)
         }

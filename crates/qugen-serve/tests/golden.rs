@@ -58,7 +58,7 @@ fn done_cached_and_failed_replies_are_byte_stable() {
         ),
         (
             r#"{"op":"result","job":3,"wait":true}"#.to_string(),
-            r#"{"error":"sim","job":3,"message":"simulator refused: mps run at bond dimension 1 reached a truncation-infidelity bound of 1.000e0, over the 0.000e0 truncation budget","ok":false,"sim":{"budget":0.0,"code":"truncation_budget","error_bound":1.0,"max_bond":1},"status":"failed"}"#,
+            r#"{"error":"sim","job":3,"message":"simulator refused: mps run at bond dimension 1 reached a truncation-infidelity bound of 1.000e0, over the 0.000e0 truncation budget","ok":false,"sim":{"budget":0.0,"code":"truncation_budget","error_bound":1.0,"max_bond":1},"status":"failed","tag":"doomed"}"#,
         ),
         (
             r#"{"op":"status","job":3}"#.to_string(),
