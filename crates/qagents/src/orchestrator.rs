@@ -161,10 +161,7 @@ impl Orchestrator {
             multipass.last().analysis.detail.syntactic_ok,
         ) {
             (Some(stage), true) => {
-                let source = &multipass.last().generation.source;
-                let circuit = qcir::dsl::parse(source)
-                    .ok()
-                    .and_then(|p| qcir::check::lower(&p).ok());
+                let circuit = qcir::compile(&multipass.last().generation.source).circuit;
                 circuit.and_then(|c| {
                     let agent = QecAgent::new(stage.topology.clone(), stage.physical_rate);
                     match agent.compare(&c, &stage.noise, stage.shots, seed) {

@@ -1,17 +1,31 @@
-//! Semantic checker and lowering: `Program` → `Circuit` + diagnostics.
+//! Semantic checker and lowering: QasmLite → `Circuit` + diagnostics.
 //!
-//! This module is the analysis core of the Semantic Analyzer agent. It
-//! resolves imports against the versioned [`ApiRegistry`], expands gate
-//! definitions (oracles), validates operand/parameter shapes, and either
-//! lowers to a runnable [`Circuit`] or reports structured diagnostics whose
-//! rendered form becomes the multi-pass repair prompt.
+//! This module is the analysis core of the Semantic Analyzer agent, and
+//! [`compile`] is the front end's one entry: it parses source, then checks
+//! the program in two passes. The symbol pass resolves imports against the
+//! versioned [`ApiRegistry`] and collects one table of registers and gate
+//! definitions (oracles). The lowering pass resolves every operand through
+//! one resolver and emits every gate through one routine, whether written
+//! at the top level, under an `if`, or expanded from a gate body. The result
+//! is either a runnable [`Circuit`] or structured diagnostics whose rendered
+//! form becomes the multi-pass repair prompt.
 
 use crate::api::{adapt_legacy_params, ApiRegistry, Resolution, Version};
-use crate::circuit::{Circuit, Op};
+use crate::circuit::{Circuit, CircuitError, Op};
 use crate::diag::{DiagCode, Diagnostic, Severity, Span};
-use crate::dsl::ast::{GateApp, Item, Operand, Program, RegKind, Stmt};
+use crate::dsl::ast::{GateApp, Item, Program, RegKind, Stmt};
 use crate::gate::Gate;
 use std::collections::BTreeMap;
+use std::ops::Range;
+
+/// Widest run of bits the checker expands one operand into: a whole
+/// register, or every qubit for an operand-less `barrier`. It equals the
+/// widest circuit anything runs (the tableau engine's qubit cap and serve's
+/// classical-register cap), so every runnable program checks the same. A
+/// wider expansion is refused with [`DiagCode::QubitOutOfRange`] or
+/// [`DiagCode::ClbitOutOfRange`] instead of allocating one entry per bit;
+/// declaring a wider register and indexing into it stays legal.
+pub const MAX_EXPANSION: usize = 4096;
 
 /// Result of checking a program: diagnostics plus the lowered circuit when
 /// no error-severity diagnostic was produced.
@@ -44,6 +58,24 @@ impl CheckOutcome {
     }
 }
 
+/// Parses and checks `source` against the standard API registry. A parse
+/// error becomes the outcome's single diagnostic.
+///
+/// ```
+/// let outcome = qcir::compile("import qasmlite 2.1;\nqreg q[1];\ncreg c[1];\nh q[0];\nmeasure q -> c;\n");
+/// assert_eq!(outcome.circuit.expect("checks").num_qubits(), 1);
+/// assert_eq!(qcir::compile("qreg q[").diagnostics.len(), 1);
+/// ```
+pub fn compile(source: &str) -> CheckOutcome {
+    match crate::dsl::parse(source) {
+        Ok(program) => check(&program, ApiRegistry::shared()),
+        Err(diagnostic) => CheckOutcome {
+            circuit: None,
+            diagnostics: vec![diagnostic],
+        },
+    }
+}
+
 /// Checks and lowers a program with the standard API registry.
 ///
 /// # Errors
@@ -63,58 +95,91 @@ pub fn lower(program: &Program) -> Result<Circuit, Vec<Diagnostic>> {
 /// errors at once — the paper notes the model fixes "a small, singular
 /// error" per pass, so we cap nothing here and let the agent choose).
 pub fn check(program: &Program, registry: &ApiRegistry) -> CheckOutcome {
-    Checker::new(registry).run(program)
+    let mut checker = Checker {
+        registry,
+        diags: Vec::new(),
+        symbols: Symbols::default(),
+    };
+    checker.collect(program);
+    checker.lower(program)
 }
 
-#[derive(Debug, Clone)]
-struct RegInfo {
+/// A declared register: bits `offset..offset + size` of its kind.
+#[derive(Clone, Copy)]
+struct Reg {
     offset: usize,
     size: usize,
-    kind: RegKind,
 }
 
-#[derive(Debug, Clone)]
-struct SubDef {
-    params: Vec<String>,
-    operands: Vec<String>,
-    body: Vec<GateApp>,
+/// A gate definition, borrowed from the program.
+#[derive(Clone, Copy)]
+struct GateDef<'p> {
+    params: &'p [String],
+    operands: &'p [String],
+    body: &'p [GateApp],
 }
 
-struct Checker<'a> {
-    registry: &'a ApiRegistry,
-    diags: Vec<Diagnostic>,
-    qregs: BTreeMap<String, RegInfo>,
-    cregs: BTreeMap<String, RegInfo>,
-    subs: BTreeMap<String, SubDef>,
+/// What the symbol pass collects and the lowering pass resolves against.
+/// Quantum registers, classical registers and gate names are separate
+/// namespaces.
+#[derive(Default)]
+struct Symbols<'p> {
+    /// The lowest released version imported, if any.
     version: Option<Version>,
-    num_qubits: usize,
-    num_clbits: usize,
+    /// Registers by name: quantum in slot 0, classical in slot 1.
+    regs: [BTreeMap<&'p str, Reg>; 2],
+    /// Bits declared so far, per slot.
+    widths: [usize; 2],
+    gates: BTreeMap<&'p str, GateDef<'p>>,
 }
 
-impl<'a> Checker<'a> {
-    fn new(registry: &'a ApiRegistry) -> Self {
-        Checker {
-            registry,
-            diags: Vec::new(),
-            qregs: BTreeMap::new(),
-            cregs: BTreeMap::new(),
-            subs: BTreeMap::new(),
-            version: None,
-            num_qubits: 0,
-            num_clbits: 0,
+/// The table slot, message noun and out-of-range code of a register kind.
+fn kind_info(kind: RegKind) -> (usize, &'static str, DiagCode) {
+    match kind {
+        RegKind::Quantum => (0, "quantum", DiagCode::QubitOutOfRange),
+        RegKind::Classical => (1, "classical", DiagCode::ClbitOutOfRange),
+    }
+}
+
+/// Where a gate application is emitted: the program's top level, or the
+/// body of a user-defined gate bound to one call's arguments and qubits.
+#[derive(Clone, Copy)]
+enum Scope<'a> {
+    Top,
+    Body {
+        gate: &'a str,
+        def: GateDef<'a>,
+        args: &'a [f64],
+        qubits: &'a [usize],
+    },
+}
+
+impl Scope<'_> {
+    /// The argument bound to angle parameter `name`. A formal named twice
+    /// binds its last argument.
+    fn param(&self, name: &str) -> Option<f64> {
+        match self {
+            Scope::Top => None,
+            Scope::Body { def, args, .. } => {
+                def.params.iter().rposition(|p| p == name).map(|i| args[i])
+            }
         }
     }
+}
 
+struct Checker<'p> {
+    registry: &'p ApiRegistry,
+    diags: Vec<Diagnostic>,
+    symbols: Symbols<'p>,
+}
+
+impl<'p> Checker<'p> {
     fn error(&mut self, code: DiagCode, msg: impl Into<String>, span: Span) {
         self.diags.push(Diagnostic::error(code, msg, span));
     }
 
-    fn warn(&mut self, code: DiagCode, msg: impl Into<String>, span: Span) {
-        self.diags.push(Diagnostic::warning(code, msg, span));
-    }
-
-    fn run(mut self, program: &Program) -> CheckOutcome {
-        // Pass 1: imports.
+    /// Symbol pass: imports, then registers and gate definitions in order.
+    fn collect(&mut self, program: &'p Program) {
         for (module, version_text, span) in program.imports() {
             if !self.registry.has_module(module) {
                 self.error(
@@ -124,36 +189,23 @@ impl<'a> Checker<'a> {
                 );
                 continue;
             }
-            match version_text.parse::<Version>() {
+            let msg = match version_text.parse::<Version>() {
                 Ok(v) if self.registry.is_released(v) => {
                     // Multiple imports: the *lowest* version wins, modelling a
                     // project pinned to its oldest dependency constraint.
-                    self.version = Some(match self.version {
-                        Some(existing) => existing.min(v),
-                        None => v,
-                    });
+                    self.symbols.version = Some(self.symbols.version.map_or(v, |old| old.min(v)));
+                    continue;
                 }
-                Ok(v) => {
-                    self.error(
-                        DiagCode::UnknownImport,
-                        format!("`{module}` has no released version {v}"),
-                        span,
-                    );
-                }
-                Err(_) => {
-                    self.error(
-                        DiagCode::UnknownImport,
-                        format!("invalid version `{version_text}` in import of `{module}`"),
-                        span,
-                    );
-                }
-            }
+                Ok(v) => format!("`{module}` has no released version {v}"),
+                Err(_) => format!("invalid version `{version_text}` in import of `{module}`"),
+            };
+            self.error(DiagCode::UnknownImport, msg, span);
         }
         let uses_gates = program
             .items
             .iter()
-            .any(|i| matches!(i, Item::Stmt(_)) || matches!(i, Item::GateDef { .. }));
-        if self.version.is_none() && uses_gates {
+            .any(|i| matches!(i, Item::Stmt(_) | Item::GateDef { .. }));
+        if self.symbols.version.is_none() && uses_gates {
             self.diags.push(
                 Diagnostic::error(
                     DiagCode::MissingImport,
@@ -163,8 +215,6 @@ impl<'a> Checker<'a> {
                 .with_hint("add `import qasmlite 2.1;` at the top"),
             );
         }
-
-        // Pass 2: registers and gate definitions, in order.
         for item in &program.items {
             match item {
                 Item::RegDecl {
@@ -179,89 +229,51 @@ impl<'a> Checker<'a> {
                     operands,
                     body,
                     span,
-                } => self.declare_subroutine(name, params, operands, body, *span),
+                } => self.define_gate(
+                    name,
+                    GateDef {
+                        params,
+                        operands,
+                        body,
+                    },
+                    *span,
+                ),
                 _ => {}
             }
         }
+    }
 
-        // Pass 3: statements.
-        let mut circuit = Circuit::new(self.num_qubits, self.num_clbits);
-        for item in &program.items {
-            if let Item::Stmt(stmt) = item {
-                self.lower_stmt(stmt, &mut circuit);
-            }
+    fn declare_register(&mut self, kind: RegKind, name: &'p str, size: usize, span: Span) {
+        let (slot, noun, out_of_range) = kind_info(kind);
+        if self.symbols.regs[slot].contains_key(name) {
+            let msg = format!("{noun} register `{name}` declared twice");
+            return self.error(DiagCode::DuplicateRegister, msg, span);
         }
-
-        if circuit.num_measurements() == 0 && !circuit.is_empty() {
-            self.warn(
-                DiagCode::NoMeasurement,
-                "circuit contains no measurement; sampled results will be empty",
-                Span::at(1, 1),
+        let offset = self.symbols.widths[slot];
+        let Some(end) = offset.checked_add(size) else {
+            let msg = format!(
+                "{noun} register `{name}` of size {size} does not fit after the {offset} bits before it"
             );
-        }
-
-        let has_errors = self.diags.iter().any(|d| d.severity == Severity::Error);
-        CheckOutcome {
-            circuit: (!has_errors).then_some(circuit),
-            diagnostics: self.diags,
-        }
+            return self.error(out_of_range, msg, span);
+        };
+        self.symbols.regs[slot].insert(name, Reg { offset, size });
+        self.symbols.widths[slot] = end;
     }
 
-    fn declare_register(&mut self, kind: RegKind, name: &str, size: usize, span: Span) {
-        match kind {
-            RegKind::Quantum => {
-                if self.qregs.contains_key(name) {
-                    self.error(
-                        DiagCode::DuplicateRegister,
-                        format!("quantum register `{name}` declared twice"),
-                        span,
-                    );
-                    return;
-                }
-                let offset = self.num_qubits;
-                self.qregs
-                    .insert(name.to_string(), RegInfo { offset, size, kind });
-                self.num_qubits += size;
-            }
-            RegKind::Classical => {
-                if self.cregs.contains_key(name) {
-                    self.error(
-                        DiagCode::DuplicateRegister,
-                        format!("classical register `{name}` declared twice"),
-                        span,
-                    );
-                    return;
-                }
-                let offset = self.num_clbits;
-                self.cregs
-                    .insert(name.to_string(), RegInfo { offset, size, kind });
-                self.num_clbits += size;
-            }
-        }
-    }
-
-    fn declare_subroutine(
-        &mut self,
-        name: &str,
-        params: &[String],
-        operands: &[String],
-        body: &[GateApp],
-        span: Span,
-    ) {
-        if self.subs.contains_key(name) {
-            self.error(
+    fn define_gate(&mut self, name: &'p str, def: GateDef<'p>, span: Span) {
+        if self.symbols.gates.contains_key(name) {
+            return self.error(
                 DiagCode::DuplicateRegister,
                 format!("gate `{name}` defined twice"),
                 span,
             );
-            return;
         }
         // Validate body references: every operand must be a formal name,
         // every expression identifier a formal parameter. Gate names resolve
-        // lazily at call sites (so version applies uniformly).
-        for app in body {
+        // at each call site, so the imported version applies uniformly.
+        for app in def.body {
             for operand in &app.operands {
-                if operand.index.is_some() || !operands.contains(&operand.reg) {
+                if operand.index.is_some() || !def.operands.contains(&operand.reg) {
                     self.error(
                         DiagCode::UndeclaredRegister,
                         format!(
@@ -272,9 +284,8 @@ impl<'a> Checker<'a> {
                 }
             }
             for expr in &app.params {
-                if let Err(e) =
-                    expr.eval(&|ident| params.contains(&ident.to_string()).then_some(0.0))
-                {
+                let bound = |ident: &str| def.params.iter().any(|p| p == ident).then_some(0.0);
+                if let Err(e) = expr.eval(&bound) {
                     self.error(
                         DiagCode::ParamCountMismatch,
                         format!("in gate `{name}`: {e}"),
@@ -283,210 +294,128 @@ impl<'a> Checker<'a> {
                 }
             }
         }
-        self.subs.insert(
-            name.to_string(),
-            SubDef {
-                params: params.to_vec(),
-                operands: operands.to_vec(),
-                body: body.to_vec(),
-            },
-        );
+        self.symbols.gates.insert(name, def);
     }
 
-    /// Resolves a qubit operand to flat indices (broadcast → all indices).
-    fn resolve_qubits(&mut self, operand: &Operand) -> Option<Vec<usize>> {
-        let Some(info) = self.qregs.get(&operand.reg).cloned() else {
-            self.error(
-                DiagCode::UndeclaredRegister,
-                format!("quantum register `{}` is not declared", operand.reg),
-                operand.span,
-            );
-            return None;
-        };
-        debug_assert_eq!(info.kind, RegKind::Quantum);
-        match operand.index {
-            Some(i) if i < info.size => Some(vec![info.offset + i]),
-            Some(i) => {
-                self.error(
-                    DiagCode::QubitOutOfRange,
-                    format!(
-                        "index {i} out of range for register `{}` of size {}",
-                        operand.reg, info.size
-                    ),
-                    operand.span,
-                );
-                None
+    /// Lowering pass: every statement, in order.
+    fn lower(mut self, program: &Program) -> CheckOutcome {
+        let [qubits, clbits] = self.symbols.widths;
+        let mut circuit = Circuit::new(qubits, clbits);
+        for item in &program.items {
+            if let Item::Stmt(stmt) = item {
+                self.lower_stmt(stmt, &mut circuit);
             }
-            None => Some((info.offset..info.offset + info.size).collect()),
+        }
+        if circuit.num_measurements() == 0 && !circuit.is_empty() {
+            self.diags.push(Diagnostic::warning(
+                DiagCode::NoMeasurement,
+                "circuit contains no measurement; sampled results will be empty",
+                Span::at(1, 1),
+            ));
+        }
+        let has_errors = self.diags.iter().any(|d| d.severity == Severity::Error);
+        CheckOutcome {
+            circuit: (!has_errors).then_some(circuit),
+            diagnostics: self.diags,
         }
     }
 
-    fn resolve_clbits(&mut self, operand: &Operand) -> Option<Vec<usize>> {
-        let Some(info) = self.cregs.get(&operand.reg).cloned() else {
-            self.error(
-                DiagCode::UndeclaredRegister,
-                format!("classical register `{}` is not declared", operand.reg),
-                operand.span,
-            );
-            return None;
-        };
-        match operand.index {
-            Some(i) if i < info.size => Some(vec![info.offset + i]),
-            Some(i) => {
-                self.error(
-                    DiagCode::ClbitOutOfRange,
-                    format!(
-                        "index {i} out of range for register `{}` of size {}",
-                        operand.reg, info.size
-                    ),
-                    operand.span,
-                );
-                None
-            }
-            None => Some((info.offset..info.offset + info.size).collect()),
-        }
-    }
-
-    /// Resolves a gate name through the registry at the imported version,
-    /// returning the canonical name and adapted parameters.
-    fn resolve_gate_name(
+    /// Resolves a register reference to its flat bit indices: one bit when
+    /// indexed, the whole register (at most [`MAX_EXPANSION`] wide) when not.
+    fn resolve(
         &mut self,
-        name: &str,
-        params: &[f64],
+        kind: RegKind,
+        reg: &str,
+        index: Option<usize>,
         span: Span,
-    ) -> Option<(String, Vec<f64>)> {
-        let version = self.version.unwrap_or(crate::api::CURRENT);
-        match self.registry.resolve(name, version) {
-            Resolution::Ok => Some((name.to_string(), params.to_vec())),
-            Resolution::Deprecated { replacement } => {
-                let hint = replacement
-                    .map(|r| format!("use `{r}` instead"))
-                    .unwrap_or_else(|| "consult the migration guide".to_string());
-                self.diags.push(
-                    Diagnostic::warning(
-                        DiagCode::DeprecatedSymbol,
-                        format!("`{name}` is deprecated since qasmlite 2.0"),
-                        span,
-                    )
-                    .with_hint(hint),
-                );
-                match adapt_legacy_params(name, params) {
-                    Some((canon, adapted)) => Some((canon.to_string(), adapted)),
-                    None => {
-                        self.error(
-                            DiagCode::ParamCountMismatch,
-                            format!("wrong number of parameters for `{name}`"),
-                            span,
-                        );
-                        None
-                    }
-                }
-            }
-            Resolution::Removed { replacement } => {
-                let hint = replacement
-                    .map(|r| format!("use `{r}` instead"))
-                    .unwrap_or_else(|| "consult the migration guide".to_string());
-                self.diags.push(
-                    Diagnostic::error(
-                        DiagCode::RemovedSymbol,
-                        format!("`{name}` was removed in qasmlite 2.1"),
-                        span,
-                    )
-                    .with_hint(hint),
-                );
+    ) -> Option<Range<usize>> {
+        let (slot, noun, out_of_range) = kind_info(kind);
+        let Some(&Reg { offset, size }) = self.symbols.regs[slot].get(reg) else {
+            let msg = format!("{noun} register `{reg}` is not declared");
+            self.error(DiagCode::UndeclaredRegister, msg, span);
+            return None;
+        };
+        match index {
+            Some(i) if i < size => Some(offset + i..offset + i + 1),
+            Some(i) => {
+                let msg = format!("index {i} out of range for register `{reg}` of size {size}");
+                self.error(out_of_range, msg, span);
                 None
             }
-            Resolution::NotYetIntroduced { introduced } => {
-                self.diags.push(
-                    Diagnostic::error(
-                        DiagCode::MissingImport,
-                        format!(
-                            "`{name}` requires qasmlite >= {introduced} but version {version} is imported"
-                        ),
-                        span,
-                    )
-                    .with_hint(format!("import qasmlite {introduced} or newer")),
+            None if size > MAX_EXPANSION => {
+                let msg = format!(
+                    "whole register `{reg}` of size {size} expands to more than {MAX_EXPANSION} bits"
                 );
+                self.error(out_of_range, msg, span);
                 None
             }
-            Resolution::Unknown => {
-                self.error(
-                    DiagCode::UnknownGate,
-                    format!("unknown gate `{name}`"),
-                    span,
-                );
-                None
-            }
+            None => Some(offset..offset + size),
         }
     }
 
-    fn eval_params(&mut self, app: &GateApp) -> Option<Vec<f64>> {
-        let mut out = Vec::with_capacity(app.params.len());
-        for expr in &app.params {
-            match expr.eval_const() {
-                Ok(v) => out.push(v),
-                Err(e) => {
-                    self.error(DiagCode::ParamCountMismatch, e.to_string(), app.span);
+    /// Appends `op`, reporting a refusal at `span`.
+    fn push(&mut self, circuit: &mut Circuit, op: Op, span: Span) -> Option<()> {
+        let Err(e) = circuit.try_push(op) else {
+            return Some(());
+        };
+        let code = match e {
+            CircuitError::DuplicateQubit { .. } => DiagCode::DuplicateQubit,
+            CircuitError::ArityMismatch { .. } => DiagCode::ArityMismatch,
+            CircuitError::QubitOutOfRange { .. } => DiagCode::QubitOutOfRange,
+            CircuitError::ClbitOutOfRange { .. } => DiagCode::ClbitOutOfRange,
+        };
+        self.error(code, e.to_string(), span);
+        None
+    }
+
+    fn lower_stmt(&mut self, stmt: &Stmt, circuit: &mut Circuit) -> Option<()> {
+        use RegKind::{Classical, Quantum};
+        match stmt {
+            Stmt::App(app) => self.lower_app(app, None, circuit),
+            Stmt::Measure { src, dst, span } => {
+                let qubits = self.resolve(Quantum, &src.reg, src.index, src.span);
+                let clbits = self.resolve(Classical, &dst.reg, dst.index, dst.span);
+                let (qubits, clbits) = (qubits?, clbits?);
+                if qubits.len() != clbits.len() {
+                    let msg = format!(
+                        "measure maps {} qubit(s) onto {} classical bit(s)",
+                        qubits.len(),
+                        clbits.len()
+                    );
+                    self.error(DiagCode::MeasureSizeMismatch, msg, *span);
                     return None;
                 }
-            }
-        }
-        Some(out)
-    }
-
-    fn lower_stmt(&mut self, stmt: &Stmt, circuit: &mut Circuit) {
-        match stmt {
-            Stmt::App(app) => self.lower_app(app, circuit, None),
-            Stmt::Measure { src, dst, span } => {
-                let (Some(qubits), Some(clbits)) =
-                    (self.resolve_qubits(src), self.resolve_clbits(dst))
-                else {
-                    return;
-                };
-                if qubits.len() != clbits.len() {
-                    self.error(
-                        DiagCode::MeasureSizeMismatch,
-                        format!(
-                            "measure maps {} qubit(s) onto {} classical bit(s)",
-                            qubits.len(),
-                            clbits.len()
-                        ),
-                        *span,
-                    );
-                    return;
+                for (qubit, clbit) in qubits.zip(clbits) {
+                    self.push(circuit, Op::Measure { qubit, clbit }, *span)?;
                 }
-                for (q, c) in qubits.into_iter().zip(clbits) {
-                    circuit
-                        .try_push(Op::Measure { qubit: q, clbit: c })
-                        .expect("resolved indices are in range");
-                }
+                Some(())
             }
             Stmt::Reset { target, span } => {
-                let Some(qubits) = self.resolve_qubits(target) else {
-                    return;
-                };
-                let _ = span;
-                for q in qubits {
-                    circuit
-                        .try_push(Op::Reset { qubit: q })
-                        .expect("resolved index in range");
+                for qubit in self.resolve(Quantum, &target.reg, target.index, target.span)? {
+                    self.push(circuit, Op::Reset { qubit }, *span)?;
                 }
+                Some(())
             }
-            Stmt::Barrier { targets, .. } => {
-                let qubits: Vec<usize> = if targets.is_empty() {
-                    (0..circuit.num_qubits()).collect()
-                } else {
-                    let mut all = Vec::new();
-                    for t in targets {
-                        if let Some(qs) = self.resolve_qubits(t) {
-                            all.extend(qs);
-                        }
+            Stmt::Barrier { targets, span } => {
+                let mut qubits = Vec::new();
+                if targets.is_empty() {
+                    let n = circuit.num_qubits();
+                    if n > MAX_EXPANSION {
+                        let msg = format!(
+                            "`barrier` over all {n} qubits expands to more than {MAX_EXPANSION} bits"
+                        );
+                        self.error(DiagCode::QubitOutOfRange, msg, *span);
+                        return None;
                     }
-                    all
-                };
-                circuit
-                    .try_push(Op::Barrier { qubits })
-                    .expect("resolved indices in range");
+                    qubits.extend(0..n);
+                }
+                for t in targets {
+                    qubits.extend(
+                        self.resolve(Quantum, &t.reg, t.index, t.span)
+                            .unwrap_or_default(),
+                    );
+                }
+                self.push(circuit, Op::Barrier { qubits }, *span)
             }
             Stmt::If {
                 reg,
@@ -495,244 +424,196 @@ impl<'a> Checker<'a> {
                 app,
                 span,
             } => {
-                let operand = Operand::indexed(reg.clone(), *index, *span);
-                let Some(clbits) = self.resolve_clbits(&operand) else {
-                    return;
-                };
+                let clbit = self.resolve(Classical, reg, Some(*index), *span)?.start;
                 if *value > 1 {
-                    self.error(
-                        DiagCode::ParseError,
-                        format!("condition value must be 0 or 1, found {value}"),
-                        *span,
-                    );
-                    return;
+                    let msg = format!("condition value must be 0 or 1, found {value}");
+                    self.error(DiagCode::ParseError, msg, *span);
+                    return None;
                 }
-                self.lower_app(app, circuit, Some((clbits[0], *value == 1)));
+                self.lower_app(app, Some((clbit, *value == 1)), circuit)
             }
         }
     }
 
+    /// Lowers a top-level application: a call of a user-defined gate (which
+    /// shadows a registry gate of the same name) or a registry gate.
     fn lower_app(
         &mut self,
         app: &GateApp,
-        circuit: &mut Circuit,
         condition: Option<(usize, bool)>,
-    ) {
-        // Subroutine call?
-        if let Some(def) = self.subs.get(&app.name).cloned() {
-            self.lower_subroutine_call(app, &def, circuit, condition);
-            return;
-        }
-        let Some(params) = self.eval_params(app) else {
-            return;
-        };
-        let Some((canon, params)) = self.resolve_gate_name(&app.name, &params, app.span) else {
-            return;
-        };
-        let Some(gate) = Gate::from_name(&canon, &params) else {
-            // Name exists in the registry but the parameter count is wrong.
-            self.error(
-                DiagCode::ParamCountMismatch,
-                format!(
-                    "`{}` takes {} parameter(s), {} given",
-                    canon,
-                    Gate::from_name(&canon, &vec![0.0; expected_params(&canon)])
-                        .map(|g| g.num_params())
-                        .unwrap_or(0),
-                    params.len()
-                ),
-                app.span,
-            );
-            return;
-        };
-
-        // Resolve operands with broadcast semantics.
-        let mut resolved: Vec<Vec<usize>> = Vec::new();
-        for operand in &app.operands {
-            match self.resolve_qubits(operand) {
-                Some(qs) => resolved.push(qs),
-                None => return,
-            }
-        }
-        let arity = gate.num_qubits();
-        if app.operands.len() != arity {
-            // Single whole-register operand on a 1-qubit gate broadcasts.
-            if !(arity == 1 && app.operands.len() == 1) {
-                self.error(
-                    DiagCode::ArityMismatch,
-                    format!(
-                        "`{}` expects {} operand(s), {} given",
-                        canon,
-                        arity,
-                        app.operands.len()
-                    ),
-                    app.span,
-                );
-                return;
-            }
-        }
-        // Broadcast: all operand groups must have equal length.
-        let width = resolved.iter().map(Vec::len).max().unwrap_or(1);
-        if resolved.iter().any(|g| g.len() != width && g.len() != 1) {
-            self.error(
-                DiagCode::ArityMismatch,
-                "mismatched register sizes in broadcast gate application".to_string(),
-                app.span,
-            );
-            return;
-        }
-        for k in 0..width {
-            let qubits: Vec<usize> = resolved
-                .iter()
-                .map(|g| if g.len() == 1 { g[0] } else { g[k] })
-                .collect();
-            let op = match condition {
-                Some((clbit, value)) => Op::CondGate {
-                    gate,
-                    qubits,
-                    clbit,
-                    value,
-                },
-                None => Op::Gate { gate, qubits },
-            };
-            if let Err(e) = circuit.try_push(op) {
-                self.error(
-                    match e {
-                        crate::circuit::CircuitError::DuplicateQubit { .. } => {
-                            DiagCode::DuplicateQubit
-                        }
-                        crate::circuit::CircuitError::ArityMismatch { .. } => {
-                            DiagCode::ArityMismatch
-                        }
-                        crate::circuit::CircuitError::QubitOutOfRange { .. } => {
-                            DiagCode::QubitOutOfRange
-                        }
-                        crate::circuit::CircuitError::ClbitOutOfRange { .. } => {
-                            DiagCode::ClbitOutOfRange
-                        }
-                    },
-                    e.to_string(),
-                    app.span,
-                );
-                return;
-            }
+        circuit: &mut Circuit,
+    ) -> Option<()> {
+        match self.symbols.gates.get(app.name.as_str()) {
+            Some(&def) => self.call(app, def, condition, circuit),
+            None => self.emit(app, Scope::Top, condition, circuit),
         }
     }
 
-    fn lower_subroutine_call(
+    /// Expands a call of a user-defined gate: binds the formals to the
+    /// call's arguments and single qubits, then emits every body gate in
+    /// that scope, each reported on its own.
+    fn call(
         &mut self,
         app: &GateApp,
-        def: &SubDef,
-        circuit: &mut Circuit,
+        def: GateDef<'_>,
         condition: Option<(usize, bool)>,
-    ) {
-        if app.operands.len() != def.operands.len() {
-            self.error(
-                DiagCode::SubroutineArityMismatch,
-                format!(
-                    "gate `{}` expects {} operand(s), {} given",
-                    app.name,
-                    def.operands.len(),
-                    app.operands.len()
-                ),
-                app.span,
-            );
-            return;
+        circuit: &mut Circuit,
+    ) -> Option<()> {
+        let name = app.name.as_str();
+        let (formals, given) = (def.operands.len(), app.operands.len());
+        if formals != given {
+            let msg = format!("gate `{name}` expects {formals} operand(s), {given} given");
+            self.error(DiagCode::SubroutineArityMismatch, msg, app.span);
+            return None;
         }
-        if app.params.len() != def.params.len() {
-            self.error(
-                DiagCode::ParamCountMismatch,
-                format!(
-                    "gate `{}` expects {} parameter(s), {} given",
-                    app.name,
-                    def.params.len(),
-                    app.params.len()
-                ),
-                app.span,
-            );
-            return;
+        let (formals, given) = (def.params.len(), app.params.len());
+        if formals != given {
+            let msg = format!("gate `{name}` expects {formals} parameter(s), {given} given");
+            self.error(DiagCode::ParamCountMismatch, msg, app.span);
+            return None;
         }
-        let Some(arg_values) = self.eval_params(app) else {
-            return;
-        };
-        // Resolve actual operands to single flat qubit indices.
-        let mut binding: BTreeMap<&str, usize> = BTreeMap::new();
-        for (formal, actual) in def.operands.iter().zip(&app.operands) {
-            let Some(qs) = self.resolve_qubits(actual) else {
-                return;
-            };
-            if qs.len() != 1 {
-                self.error(
-                    DiagCode::SubroutineArityMismatch,
-                    format!(
-                        "gate `{}` operand `{}` must be a single qubit, not a whole register",
-                        app.name, actual
-                    ),
-                    actual.span,
+        let args = self.eval_params(app, Scope::Top)?;
+        let mut qubits = Vec::with_capacity(app.operands.len());
+        for actual in &app.operands {
+            let bits = self.resolve(RegKind::Quantum, &actual.reg, actual.index, actual.span)?;
+            if bits.len() != 1 {
+                let msg = format!(
+                    "gate `{name}` operand `{actual}` must be a single qubit, not a whole register"
                 );
-                return;
+                self.error(DiagCode::SubroutineArityMismatch, msg, actual.span);
+                return None;
             }
-            binding.insert(formal.as_str(), qs[0]);
+            qubits.push(bits.start);
         }
-        let param_env: BTreeMap<&str, f64> = def
+        let scope = Scope::Body {
+            gate: name,
+            def,
+            args: &args,
+            qubits: &qubits,
+        };
+        for body_app in def.body {
+            self.emit(body_app, scope, condition, circuit);
+        }
+        Some(())
+    }
+
+    /// Evaluates an application's angle expressions in `scope`, reporting
+    /// the first that fails.
+    fn eval_params(&mut self, app: &GateApp, scope: Scope<'_>) -> Option<Vec<f64>> {
+        let params: Result<Vec<f64>, _> = app
             .params
             .iter()
-            .map(String::as_str)
-            .zip(arg_values.iter().copied())
+            .map(|expr| expr.eval(&|name| scope.param(name)))
             .collect();
+        params
+            .map_err(|e| self.error(DiagCode::ParamCountMismatch, e.to_string(), app.span))
+            .ok()
+    }
 
-        for body_app in &def.body {
-            let mut params = Vec::with_capacity(body_app.params.len());
-            let mut failed = false;
-            for expr in &body_app.params {
-                match expr.eval(&|name| param_env.get(name).copied()) {
-                    Ok(v) => params.push(v),
-                    Err(e) => {
-                        self.error(DiagCode::ParamCountMismatch, e.to_string(), body_app.span);
-                        failed = true;
-                        break;
-                    }
+    /// Emits one registry gate application, the one path every gate takes:
+    /// evaluates its parameters, resolves its name at the imported version
+    /// (adapting legacy parameter forms), builds the [`Gate`], resolves its
+    /// operands and pushes one op per broadcast position, conditioned when
+    /// `condition` is set.
+    fn emit(
+        &mut self,
+        app: &GateApp,
+        scope: Scope<'_>,
+        condition: Option<(usize, bool)>,
+        circuit: &mut Circuit,
+    ) -> Option<()> {
+        let params = self.eval_params(app, scope)?;
+        let name = app.name.as_str();
+        let version = self.symbols.version.unwrap_or(crate::api::CURRENT);
+        let adapted;
+        let (canon, params) = match self.registry.resolve(name, version) {
+            Resolution::Ok => (name, params.as_slice()),
+            Resolution::Deprecated { replacement } => {
+                let msg = format!("`{name}` is deprecated since qasmlite 2.0");
+                let diag = Diagnostic::warning(DiagCode::DeprecatedSymbol, msg, app.span);
+                self.diags
+                    .push(diag.with_hint(replacement_hint(replacement)));
+                let Some((canon, legacy)) = adapt_legacy_params(name, &params) else {
+                    let msg = format!("wrong number of parameters for `{name}`");
+                    self.error(DiagCode::ParamCountMismatch, msg, app.span);
+                    return None;
+                };
+                adapted = legacy;
+                (canon, adapted.as_slice())
+            }
+            Resolution::Removed { replacement } => {
+                let msg = format!("`{name}` was removed in qasmlite 2.1");
+                let diag = Diagnostic::error(DiagCode::RemovedSymbol, msg, app.span);
+                self.diags
+                    .push(diag.with_hint(replacement_hint(replacement)));
+                return None;
+            }
+            Resolution::NotYetIntroduced { introduced } => {
+                let msg = format!(
+                    "`{name}` requires qasmlite >= {introduced} but version {version} is imported"
+                );
+                let diag = Diagnostic::error(DiagCode::MissingImport, msg, app.span);
+                self.diags
+                    .push(diag.with_hint(format!("import qasmlite {introduced} or newer")));
+                return None;
+            }
+            Resolution::Unknown => {
+                let msg = format!("unknown gate `{name}`");
+                self.error(DiagCode::UnknownGate, msg, app.span);
+                return None;
+            }
+        };
+        let Some(gate) = Gate::from_name(canon, params) else {
+            // The name is in the registry, but the parameter count is wrong.
+            let msg = match scope {
+                Scope::Top => format!(
+                    "`{canon}` takes {} parameter(s), {} given",
+                    Gate::param_count(canon).unwrap_or(0),
+                    params.len()
+                ),
+                Scope::Body { .. } => format!("wrong number of parameters for `{canon}`"),
+            };
+            self.error(DiagCode::ParamCountMismatch, msg, app.span);
+            return None;
+        };
+
+        // Operands: registers at the top level; formals bound to the call's
+        // qubits in a body (an unbound formal was reported at definition).
+        let mut groups = Vec::with_capacity(app.operands.len());
+        for o in &app.operands {
+            groups.push(match scope {
+                Scope::Top => self.resolve(RegKind::Quantum, &o.reg, o.index, o.span)?,
+                Scope::Body { def, qubits, .. } => {
+                    let q = qubits[def.operands.iter().rposition(|f| *f == o.reg)?];
+                    q..q + 1
                 }
-            }
-            if failed {
-                continue;
-            }
-            let Some((canon, params)) =
-                self.resolve_gate_name(&body_app.name, &params, body_app.span)
-            else {
-                continue;
+            });
+        }
+        let (arity, given) = (gate.num_qubits(), groups.len());
+        if given != arity {
+            let within = match scope {
+                Scope::Top => String::new(),
+                Scope::Body { gate, .. } => format!("in gate `{gate}`: "),
             };
-            let Some(gate) = Gate::from_name(&canon, &params) else {
-                self.error(
-                    DiagCode::ParamCountMismatch,
-                    format!("wrong number of parameters for `{canon}`"),
-                    body_app.span,
-                );
-                continue;
-            };
-            let qubits: Option<Vec<usize>> = body_app
-                .operands
+            let msg = format!("{within}`{canon}` expects {arity} operand(s), {given} given");
+            self.error(DiagCode::ArityMismatch, msg, app.span);
+            return None;
+        }
+        // Broadcast: whole-register groups zip; single qubits repeat.
+        let width = groups.iter().map(Range::len).max().unwrap_or(1);
+        if groups.iter().any(|g| g.len() != width && g.len() != 1) {
+            self.error(
+                DiagCode::ArityMismatch,
+                "mismatched register sizes in broadcast gate application",
+                app.span,
+            );
+            return None;
+        }
+        for k in 0..width {
+            let qubits = groups
                 .iter()
-                .map(|o| binding.get(o.reg.as_str()).copied())
+                .map(|g| if g.len() == 1 { g.start } else { g.start + k })
                 .collect();
-            let Some(qubits) = qubits else {
-                // Already diagnosed at definition time.
-                continue;
-            };
-            if qubits.len() != gate.num_qubits() {
-                self.error(
-                    DiagCode::ArityMismatch,
-                    format!(
-                        "in gate `{}`: `{}` expects {} operand(s), {} given",
-                        app.name,
-                        canon,
-                        gate.num_qubits(),
-                        qubits.len()
-                    ),
-                    body_app.span,
-                );
-                continue;
-            }
             let op = match condition {
                 Some((clbit, value)) => Op::CondGate {
                     gate,
@@ -742,20 +623,18 @@ impl<'a> Checker<'a> {
                 },
                 None => Op::Gate { gate, qubits },
             };
-            if let Err(e) = circuit.try_push(op) {
-                self.error(DiagCode::DuplicateQubit, e.to_string(), body_app.span);
-            }
+            self.push(circuit, op, app.span)?;
         }
+        Some(())
     }
 }
 
-/// Expected parameter count by canonical name (for error messages).
-fn expected_params(name: &str) -> usize {
-    match name {
-        "rx" | "ry" | "rz" | "p" | "crx" | "cry" | "crz" | "cp" => 1,
-        "u" => 3,
-        _ => 0,
-    }
+/// The fix-it hint for a deprecated or removed symbol.
+fn replacement_hint(replacement: Option<&str>) -> String {
+    replacement.map_or_else(
+        || "consult the migration guide".to_string(),
+        |r| format!("use `{r}` instead"),
+    )
 }
 
 #[cfg(test)]
@@ -948,5 +827,109 @@ mod tests {
     fn collects_multiple_errors() {
         let out = check_src("import qasmlite 2.1;\nqreg q[1];\nfoo q[0];\nbar q[0];\nh q[9];\n");
         assert!(out.errors().count() >= 3);
+    }
+
+    #[test]
+    fn compile_reports_a_parse_error_as_its_only_diagnostic() {
+        let out = compile("import qasmlite 2.1;\nqreg q[;\nh q[0];\n");
+        assert!(out.circuit.is_none());
+        assert_eq!(out.diagnostics.len(), 1);
+        assert_eq!(out.diagnostics[0].code, DiagCode::ParseError);
+        let src = "import qasmlite 2.1;\nqreg q[2];\ncreg c[2];\nh q;\nmeasure q -> c;\n";
+        assert_eq!(compile(src).circuit, check_src(src).circuit);
+    }
+
+    #[test]
+    fn register_offset_overflow_is_refused() {
+        for (decls, code) in [
+            (
+                "qreg q[18446744073709551615];\nqreg r[1];",
+                DiagCode::QubitOutOfRange,
+            ),
+            (
+                "creg q[18446744073709551615];\ncreg r[1];",
+                DiagCode::ClbitOutOfRange,
+            ),
+        ] {
+            let src = format!("import qasmlite 2.1;\n{decls}\n");
+            let out = check_src(&src);
+            let refused: Vec<_> = out.errors().map(|d| (d.code, d.span)).collect();
+            assert_eq!(refused, [(code, Span::at(3, 1))], "{src}");
+        }
+        // The daemon-killing program: `r` is refused, so its uses are
+        // undeclared, and nothing panics.
+        let out = check_src(
+            "import qasmlite 2.1;\nqreg q[18446744073709551615];\nqreg r[1];\ncreg c[1];\n\
+             x r[0];\nmeasure r[0] -> c[0];\n",
+        );
+        let codes: Vec<_> = out.errors().map(|d| d.code).collect();
+        assert_eq!(
+            codes,
+            [
+                DiagCode::QubitOutOfRange,
+                DiagCode::UndeclaredRegister,
+                DiagCode::UndeclaredRegister
+            ]
+        );
+    }
+
+    #[test]
+    fn whole_register_expansion_is_bounded() {
+        // 2^61 bits: collecting them would overflow a `Vec`'s capacity.
+        let wide = 1usize << 61;
+        let header = format!(
+            "import qasmlite 2.1;\ngate f a {{ h a; }}\nqreg q[{wide}];\ncreg c[{wide}];\nqreg r[1];\n"
+        );
+        for (stmt, code) in [
+            ("h q;", DiagCode::QubitOutOfRange),
+            ("cx r[0], q;", DiagCode::QubitOutOfRange),
+            ("if (c[0] == 1) h q;", DiagCode::QubitOutOfRange),
+            ("f q;", DiagCode::QubitOutOfRange),
+            ("reset q;", DiagCode::QubitOutOfRange),
+            ("barrier q;", DiagCode::QubitOutOfRange),
+            ("barrier;", DiagCode::QubitOutOfRange),
+            ("measure q -> c;", DiagCode::QubitOutOfRange),
+            ("measure r[0] -> c;", DiagCode::ClbitOutOfRange),
+        ] {
+            let out = check_src(&format!("{header}{stmt}\n"));
+            assert!(out.circuit.is_none(), "{stmt}");
+            assert!(
+                out.errors().any(|d| d.code == code),
+                "{stmt}: {:?}",
+                out.diagnostics
+            );
+        }
+        // Declared but only indexed, a wide register stays legal.
+        let out = check_src(&format!("{header}h q[5];\nmeasure q[5] -> c[7];\n"));
+        let circuit = out.circuit.expect("indexed use of a wide register checks");
+        assert_eq!(
+            (circuit.num_qubits(), circuit.num_clbits()),
+            (wide + 1, wide)
+        );
+        assert_eq!(circuit.ops().len(), 2);
+    }
+
+    #[test]
+    fn expansion_cap_is_inclusive() {
+        let at_cap = format!(
+            "import qasmlite 2.1;\nqreg q[{MAX_EXPANSION}];\ncreg c[{MAX_EXPANSION}];\n\
+             h q;\nbarrier;\nmeasure q -> c;\n"
+        );
+        let circuit = check_src(&at_cap).circuit.expect("the cap itself expands");
+        assert_eq!(circuit.count_gate("h"), MAX_EXPANSION);
+        assert_eq!(circuit.num_measurements(), MAX_EXPANSION);
+        let past = at_cap.replace(&MAX_EXPANSION.to_string(), &(MAX_EXPANSION + 1).to_string());
+        let out = check_src(&past);
+        let codes: Vec<_> = out.errors().map(|d| d.code).collect();
+        // `h q`, the bare `barrier`, then both sides of the measure.
+        assert_eq!(
+            codes,
+            [
+                DiagCode::QubitOutOfRange,
+                DiagCode::QubitOutOfRange,
+                DiagCode::QubitOutOfRange,
+                DiagCode::ClbitOutOfRange
+            ]
+        );
     }
 }

@@ -67,8 +67,6 @@ pub enum DiagCode {
     MeasureSizeMismatch,
     /// Program has no measurements but the task requires sampling.
     NoMeasurement,
-    /// A called subroutine (oracle/gate definition) is undefined.
-    UndefinedSubroutine,
     /// Subroutine called with wrong operand count.
     SubroutineArityMismatch,
 }
@@ -100,7 +98,6 @@ impl DiagCode {
             DuplicateQubit => "E0206",
             MeasureSizeMismatch => "E0207",
             NoMeasurement => "E0300",
-            UndefinedSubroutine => "E0208",
             SubroutineArityMismatch => "E0209",
         }
     }

@@ -22,16 +22,6 @@ impl Program {
             _ => None,
         })
     }
-
-    /// Iterates over register declarations as `(kind, name, size)`.
-    pub fn registers(&self) -> impl Iterator<Item = (RegKind, &str, usize)> {
-        self.items.iter().filter_map(|item| match item {
-            Item::RegDecl {
-                kind, name, size, ..
-            } => Some((*kind, name.as_str(), *size)),
-            _ => None,
-        })
-    }
 }
 
 /// Register kind: quantum or classical.
@@ -355,8 +345,7 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(program.imports().count(), 1);
-        let regs: Vec<_> = program.registers().collect();
-        assert_eq!(regs, vec![(RegKind::Quantum, "q", 3)]);
+        let imports: Vec<_> = program.imports().collect();
+        assert_eq!(imports, vec![("qasmlite", "2.1", Span::default())]);
     }
 }

@@ -142,37 +142,14 @@ impl Gate {
     /// Returns `None` for unknown names or wrong parameter counts; callers in
     /// the checker convert that into a diagnostic rather than a panic.
     pub fn from_name(name: &str, params: &[f64]) -> Option<Gate> {
-        use Gate::*;
-        let gate = match (name, params.len()) {
-            ("id", 0) => Id,
-            ("h", 0) => H,
-            ("x", 0) => X,
-            ("y", 0) => Y,
-            ("z", 0) => Z,
-            ("s", 0) => S,
-            ("sdg", 0) => Sdg,
-            ("t", 0) => T,
-            ("tdg", 0) => Tdg,
-            ("sx", 0) => SX,
-            ("rx", 1) => RX(params[0]),
-            ("ry", 1) => RY(params[0]),
-            ("rz", 1) => RZ(params[0]),
-            ("p", 1) => P(params[0]),
-            ("u", 3) => U(params[0], params[1], params[2]),
-            ("cx", 0) => CX,
-            ("cy", 0) => CY,
-            ("cz", 0) => CZ,
-            ("ch", 0) => CH,
-            ("swap", 0) => SWAP,
-            ("crx", 1) => CRX(params[0]),
-            ("cry", 1) => CRY(params[0]),
-            ("crz", 1) => CRZ(params[0]),
-            ("cp", 1) => CP(params[0]),
-            ("ccx", 0) => CCX,
-            ("cswap", 0) => CSWAP,
-            _ => return None,
-        };
-        Some(gate)
+        let (count, build) = by_name(name)?;
+        (params.len() == count).then(|| build(params))
+    }
+
+    /// How many parameters the gate with canonical name `name` takes, or
+    /// `None` for an unknown name.
+    pub(crate) fn param_count(name: &str) -> Option<usize> {
+        by_name(name).map(|(count, _)| count)
     }
 
     /// The inverse gate.
@@ -508,6 +485,44 @@ fn controlled(u: &Matrix) -> Matrix {
     m
 }
 
+/// Builds a gate from exactly its parameter count of parameters.
+type Build = fn(&[f64]) -> Gate;
+
+/// The gate name table: each canonical name with its parameter count and
+/// its constructor.
+fn by_name(name: &str) -> Option<(usize, Build)> {
+    use Gate::*;
+    Some(match name {
+        "id" => (0, |_| Id),
+        "h" => (0, |_| H),
+        "x" => (0, |_| X),
+        "y" => (0, |_| Y),
+        "z" => (0, |_| Z),
+        "s" => (0, |_| S),
+        "sdg" => (0, |_| Sdg),
+        "t" => (0, |_| T),
+        "tdg" => (0, |_| Tdg),
+        "sx" => (0, |_| SX),
+        "rx" => (1, |p| RX(p[0])),
+        "ry" => (1, |p| RY(p[0])),
+        "rz" => (1, |p| RZ(p[0])),
+        "p" => (1, |p| P(p[0])),
+        "u" => (3, |p| U(p[0], p[1], p[2])),
+        "cx" => (0, |_| CX),
+        "cy" => (0, |_| CY),
+        "cz" => (0, |_| CZ),
+        "ch" => (0, |_| CH),
+        "swap" => (0, |_| SWAP),
+        "crx" => (1, |p| CRX(p[0])),
+        "cry" => (1, |p| CRY(p[0])),
+        "crz" => (1, |p| CRZ(p[0])),
+        "cp" => (1, |p| CP(p[0])),
+        "ccx" => (0, |_| CCX),
+        "cswap" => (0, |_| CSWAP),
+        _ => return None,
+    })
+}
+
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let params = self.params();
@@ -581,14 +596,25 @@ mod tests {
 
     #[test]
     fn name_round_trips() {
-        for g in all_parameterless() {
-            let back = Gate::from_name(g.name(), &[]).expect("known name");
-            assert_eq!(back, g);
+        let mut gates = all_parameterless();
+        gates.extend([
+            Gate::RX(0.3),
+            Gate::RY(1.1),
+            Gate::RZ(-0.7),
+            Gate::P(2.2),
+            Gate::U(0.4, 1.3, -0.9),
+            Gate::CRX(0.3),
+            Gate::CRY(0.5),
+            Gate::CRZ(-1.3),
+            Gate::CP(0.8),
+        ]);
+        for g in gates {
+            assert_eq!(Gate::from_name(g.name(), &g.params()), Some(g));
+            assert_eq!(Gate::param_count(g.name()), Some(g.num_params()));
         }
-        let rz = Gate::RZ(0.25);
-        assert_eq!(Gate::from_name("rz", &[0.25]), Some(rz));
         assert_eq!(Gate::from_name("rz", &[]), None);
         assert_eq!(Gate::from_name("nope", &[]), None);
+        assert_eq!(Gate::param_count("nope"), None);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   the import/deprecation diagnostics that dominate the error traces in the
 //!   reproduced paper.
 //! * [`check`] — the semantic checker that turns a parsed program into either
-//!   a [`Circuit`] or a structured list of [`Diagnostic`]s.
+//!   a [`Circuit`] or a structured list of [`Diagnostic`]s. Its [`compile`]
+//!   is the front end's one entry: source text in, checked circuit or
+//!   diagnostics out.
 //! * [`fmt`] — the pretty-printer (round-trip tested against the parser).
 //!
 //! # Example
@@ -32,8 +34,7 @@
 //!
 //! // The same circuit via QasmLite source:
 //! let src = "import qasmlite 2.1;\nqreg q[2];\ncreg c[2];\nh q[0];\ncx q[0], q[1];\nmeasure q -> c;\n";
-//! let program = qcir::dsl::parse(src).expect("parses");
-//! let built = qcir::check::lower(&program).expect("checks");
+//! let built = qcir::compile(src).circuit.expect("checks");
 //! assert_eq!(built.num_qubits(), 2);
 //! ```
 
@@ -48,7 +49,7 @@ pub mod gate;
 pub mod math;
 pub mod transpile;
 
-pub use check::lower;
+pub use check::{compile, lower};
 pub use circuit::{Circuit, Op};
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use dsl::parse;

@@ -137,16 +137,11 @@ pub fn grade_source(source: &str, spec: &TaskSpec) -> GradeDetail {
 /// [`crate::report::evaluate_parallel`]) pass 1 here so worker pools do not
 /// nest multiplicatively.
 pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usize) -> GradeDetail {
-    // Stage 1: lex/parse.
-    let program = match qcir::dsl::parse(source) {
-        Ok(p) => p,
-        Err(diag) => return GradeDetail::unmeasured(false, vec![diag]),
-    };
-    // Stage 1b: semantic check + lowering.
+    // Stage 1: parse, semantic check and lowering.
     let qcir::check::CheckOutcome {
         circuit,
         diagnostics,
-    } = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
+    } = qcir::compile(source);
     let Some(circuit) = circuit else {
         return GradeDetail::unmeasured(false, diagnostics);
     };

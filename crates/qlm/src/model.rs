@@ -320,7 +320,6 @@ pub fn channels_addressed(codes: &[DiagCode]) -> BTreeSet<Channel> {
             }
             DiagCode::ArityMismatch
             | DiagCode::DuplicateRegister
-            | DiagCode::UndefinedSubroutine
             | DiagCode::SubroutineArityMismatch => {
                 set.insert(Channel::SyntaxError);
             }

@@ -386,8 +386,7 @@ impl Server {
         }
         // Front-loaded validation: parse, check, and resolve before the
         // job can consume a queue slot.
-        let program = qcir::dsl::parse(source).map_err(|d| ServeError::Check(vec![d]))?;
-        let outcome = qcir::check::check(&program, qcir::api::ApiRegistry::shared());
+        let outcome = qcir::compile(source);
         let circuit = match outcome.circuit {
             Some(c) => c,
             None => return Err(ServeError::Check(outcome.diagnostics)),
@@ -874,6 +873,39 @@ mod tests {
         let sim = reply.get("sim").unwrap();
         assert_eq!(sim.get("code").unwrap().as_str(), Some("qubit_cap"));
         assert_eq!(sim.get("backend").unwrap().as_str(), Some("dense"));
+    }
+
+    #[test]
+    fn hostile_register_sizes_get_a_check_error_and_the_server_lives() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        // 2^61 bits: expanding one of these would overflow a `Vec`.
+        let wide = 1u64 << 61;
+        let programs = [
+            // Register offsets used to overflow, panicking the daemon.
+            "qreg q[18446744073709551615];\nqreg r[1];\ncreg c[1];\nx r[0];\n\
+             measure r[0] -> c[0];"
+                .to_string(),
+            format!("qreg q[{wide}];\ncreg c[1];\nh q;\nmeasure q[0] -> c[0];"),
+            format!("qreg q[{wide}];\ncreg c[{wide}];\nh q[0];\nmeasure q -> c;"),
+            format!("qreg q[{wide}];\ncreg c[1];\nh q[0];\nbarrier;\nmeasure q[0] -> c[0];"),
+        ];
+        for program in programs {
+            let line = format!(
+                "{{\"op\":\"submit\",\"source\":{},\"shots\":4,\"seed\":0}}",
+                Json::Str(format!("import qasmlite 2.1;\n{program}\n")).encode()
+            );
+            let reply = parse(&server.handle_line(&line));
+            assert_eq!(
+                reply.get("error").unwrap().as_str(),
+                Some("check"),
+                "{program}"
+            );
+            let stats = parse(&server.handle_line("{\"op\":\"stats\"}"));
+            assert_eq!(stats.get("ok"), Some(&Json::Bool(true)));
+        }
     }
 
     #[test]

@@ -26,10 +26,8 @@ pub fn main() {
         println!("{}", report.summary());
         let last = report.multipass.last();
         println!("final program:\n{}", last.generation.source);
-        if let Ok(program) = qugen::qcir::dsl::parse(&last.generation.source) {
-            if let Ok(circuit) = qugen::qcir::check::lower(&program) {
-                println!("diagram:\n{}", qugen::qcir::draw::draw(&circuit));
-            }
+        if let Some(circuit) = qugen::qcir::compile(&last.generation.source).circuit {
+            println!("diagram:\n{}", qugen::qcir::draw::draw(&circuit));
         }
         if !last.analysis.error_trace.is_empty() {
             println!("last error trace:\n{}", last.analysis.error_trace);

@@ -74,8 +74,7 @@ pub fn main() {
 
     // Determinism contract: a direct executor run of the same spec is
     // bit-identical to what the service returned — any thread count.
-    let program = qugen::qcir::dsl::parse(BELL).expect("bell parses");
-    let circuit = qugen::qcir::check::lower(&program).expect("bell checks");
+    let circuit = qugen::qcir::compile(BELL).circuit.expect("bell checks");
     let exec = ExecutorConfig::new().threads(2).build();
     let direct = exec
         .try_run_job(&JobSpec::new(circuit, SHOTS, SEED))
