@@ -14,6 +14,13 @@
 //! and distance-7 (97-qubit, 97-classical-bit) memory experiments
 //! routine where dense simulation — or a one-word classical register — is
 //! impossible.
+//!
+//! The circuit-level experiment samples at the detector level, as Stim
+//! does: the simulator workers project each shot onto the circuit's
+//! detectors and logical observable, the tally keeps one key per distinct
+//! (detection events, observable) pair, and each distinct event set is
+//! decoded once. The code-capacity estimate likewise decodes each
+//! distinct syndrome once.
 
 use crate::decoder::{
     Correction, Decoder, DecodingGraph, GreedyMatchingDecoder, LookupDecoder, UnionFindDecoder,
@@ -260,8 +267,8 @@ pub fn phenomenological_experiment(
 
 /// Circuit-level experiment: lowers the code to its syndrome-extraction
 /// circuit, executes `trials` shots on the tableau backend under the given
-/// gate-level noise model, and space-time-decodes each distinct outcome
-/// word (decoding is deduplicated across identical shots).
+/// gate-level noise model, and space-time-decodes each distinct set of
+/// detection events once.
 ///
 /// The reported `p_physical` is the model's two-qubit depolarizing rate,
 /// the dominant channel in the extraction circuit.
@@ -295,6 +302,30 @@ pub fn circuit_level_experiment(
 /// contract); the knob exists so multi-process drivers like `qugen-shard`
 /// can run each worker single-threaded and let process fan-out be the only
 /// parallelism, instead of nesting a full-width shot pool per worker.
+///
+/// # Detector sampling
+///
+/// The shots run through [`qsim::exec::Executor::try_run_parities`],
+/// which projects each outcome word, on the simulator workers, through
+/// [`MemoryCircuit::parity_map`]: the logical observable at bit 0, and
+/// detector `i` at bit `1 + i`, which is node `i` of
+/// [`DecodingGraph::spacetime_x`]. So the tally holds one key per
+/// distinct (events, observable) pair: a few hundred, where raw outcome
+/// words number in the thousands. The two keys of one event set differ
+/// only in bit 0, so they sit next to each other in the tally's numeric
+/// order, and each event set is decoded once. A shot fails exactly when
+/// its observable differs from the parity of the correction on
+/// [`SurfaceCode::logical_z`].
+///
+/// This is bit-identical to decoding every outcome word through
+/// [`MemoryCircuit::detection_events`] and
+/// [`MemoryCircuit::data_readout`]: the shots are the same, the projected
+/// events are those events, and the greedy decoder is a deterministic
+/// function of them.
+///
+/// [`MemoryCircuit::parity_map`]: crate::surface::MemoryCircuit::parity_map
+/// [`MemoryCircuit::detection_events`]: crate::surface::MemoryCircuit::detection_events
+/// [`MemoryCircuit::data_readout`]: crate::surface::MemoryCircuit::data_readout
 pub fn circuit_level_experiment_threaded(
     d: usize,
     noise: &NoiseModel,
@@ -305,21 +336,36 @@ pub fn circuit_level_experiment_threaded(
 ) -> Result<MemoryResult, SimError> {
     let code = SurfaceCode::new(d);
     let mem = code.memory_circuit(rounds);
+    let parities = mem.parity_map(&code);
     let counts = ExecutorConfig::new()
         .noise(noise.clone())
         .backend(BackendChoice::Tableau)
         .threads(threads.max(1))
         .build()
-        .try_run(&mem.circuit, trials, seed)?;
-    let graph = DecodingGraph::spacetime_x(&code, rounds + 1);
-    let decoder = GreedyMatchingDecoder::new(graph);
+        .try_run_parities(&mem.circuit, trials, seed, &parities)?;
+    let decoder = GreedyMatchingDecoder::new(DecodingGraph::spacetime_x(&code, rounds + 1));
+    let logical_z = code.logical_z();
+    let num_detectors = parities.len() - 1;
+    let (mut events, mut decoded) = (Vec::new(), None);
     let mut failures = 0u64;
-    for (word, count) in counts.iter() {
-        let events = mem.detection_events(&code, word);
-        let correction = decoder.decode(&events);
-        let mut residual = mem.data_readout(word);
-        correction.apply(&mut residual);
-        if code.is_logical_x_flip(&residual) {
+    for (key, count) in counts.iter() {
+        events.clear();
+        events.extend((0..num_detectors).filter(|&i| key.bit(1 + i)));
+        let flip = match &decoded {
+            Some((last, flip)) if *last == events => *flip,
+            _ => {
+                let correction = decoder.decode(&events);
+                let on_logical = correction
+                    .qubit_flips
+                    .iter()
+                    .filter(|q| logical_z.contains(q))
+                    .count();
+                let flip = on_logical % 2 == 1;
+                decoded = Some((events.clone(), flip));
+                flip
+            }
+        };
+        if key.bit(0) != flip {
             failures += count;
         }
     }

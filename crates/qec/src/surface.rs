@@ -12,7 +12,7 @@
 //! dense simulation is impossible.
 
 use qcir::circuit::Circuit;
-use qsim::word::OutcomeWord;
+use qsim::word::{OutcomeWord, ParityMap};
 use std::fmt;
 
 /// Which Pauli type a stabilizer measures.
@@ -279,7 +279,8 @@ impl SurfaceCode {
     }
 }
 
-/// An executable memory circuit plus its classical-bit layout.
+/// An executable memory circuit plus its classical-bit layout, from
+/// which it declares its detectors and its logical observable.
 ///
 /// Outcome words pack, low bits first, the per-round Z-stabilizer readouts
 /// (`rounds * num_z` bits, in [`SurfaceCode::z_stabilizers`] order) and
@@ -323,6 +324,53 @@ impl MemoryCircuit {
         (0..self.num_data)
             .map(|q| word.bit(self.data_bit(q)))
             .collect()
+    }
+
+    /// The detectors of this circuit of `code`, as the clbits whose parity
+    /// each one is, in the node order of
+    /// [`crate::decoder::DecodingGraph::spacetime_x`] over `rounds + 1`
+    /// layers: detector `t * num_z + s` is round `t`'s readout of Z
+    /// stabilizer `s` XOR round `t - 1`'s (round 0 alone), and the final
+    /// layer XORs the last round with the data bits of the stabilizer's
+    /// support. A noiseless shot fires none of them, and the detectors
+    /// that fire are exactly [`MemoryCircuit::detection_events`].
+    pub fn detectors(&self, code: &SurfaceCode) -> Vec<Vec<usize>> {
+        let mut detectors = Vec::with_capacity((self.rounds + 1) * self.num_z);
+        for t in 0..self.rounds {
+            for s in 0..self.num_z {
+                let mut clbits = vec![self.z_syndrome_bit(t, s)];
+                if t > 0 {
+                    clbits.push(self.z_syndrome_bit(t - 1, s));
+                }
+                detectors.push(clbits);
+            }
+        }
+        for (s, stab) in code.z_stabilizers().iter().enumerate() {
+            let mut clbits = vec![self.z_syndrome_bit(self.rounds - 1, s)];
+            clbits.extend(stab.support.iter().map(|&q| self.data_bit(q)));
+            detectors.push(clbits);
+        }
+        detectors
+    }
+
+    /// The logical observable of this circuit of `code`, as clbits: the
+    /// data bits of [`SurfaceCode::logical_z`]. Its parity is the shot's
+    /// logical outcome before correction, 0 in a noiseless shot.
+    pub fn observable(&self, code: &SurfaceCode) -> Vec<usize> {
+        code.logical_z()
+            .into_iter()
+            .map(|q| self.data_bit(q))
+            .collect()
+    }
+
+    /// The projection the circuit-level experiment tallies shots by: the
+    /// [`MemoryCircuit::observable`] at bit 0, then detector `i` of
+    /// [`MemoryCircuit::detectors`] at bit `1 + i`.
+    pub fn parity_map(&self, code: &SurfaceCode) -> ParityMap {
+        let parities: Vec<Vec<usize>> = std::iter::once(self.observable(code))
+            .chain(self.detectors(code))
+            .collect();
+        ParityMap::new(self.circuit.num_clbits(), &parities)
     }
 
     /// Detection events for space-time decoding of one outcome word:

@@ -36,7 +36,7 @@
 
 use crate::backend::{self, BackendChoice, BackendKind, SimError};
 use crate::dist::{Counts, Distribution};
-use crate::frame::{FrameProgram, PauliFrame};
+use crate::frame::{FrameProgram, PauliFrame, WordFrame};
 use crate::job::JobSpec;
 use crate::lru::lock;
 use crate::mps::{MpsSampler, MpsState};
@@ -44,7 +44,7 @@ use crate::noise::{NoiseModel, Pauli};
 use crate::plan::{self, CircuitPlan, PlanCache, PlanCacheStats};
 use crate::stabilizer::StabilizerSim;
 use crate::state::StateVector;
-use crate::word::OutcomeWord;
+use crate::word::{OutcomeWord, ParityMap};
 use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Histogram};
@@ -323,6 +323,48 @@ impl Executor {
         self.run_solo(task)
     }
 
+    /// [`Executor::try_run`] with every shot's outcome projected through
+    /// `parities` before it is tallied: the counts are keyed by projected
+    /// words, bit `j` the XOR of the clbits parity `j` lists. The shots are
+    /// the ones `try_run` takes, bit for bit, on the same scheduler and
+    /// with the same telemetry; only what each worker records differs.
+    /// Projecting on the workers keeps their tables as small as the number
+    /// of distinct parity patterns, which for detectors of a
+    /// low-noise QEC circuit is far below the number of distinct outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Exactly [`Executor::try_run`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `parities` was built for a register other than the
+    /// circuit's.
+    pub fn try_run_parities(
+        &self,
+        circuit: &Circuit,
+        shots: u64,
+        seed: u64,
+        parities: &ParityMap,
+    ) -> Result<Counts, SimError> {
+        assert_eq!(
+            parities.num_clbits(),
+            circuit.num_clbits(),
+            "parity map and circuit disagree on the register width"
+        );
+        let task = self.prepare(
+            circuit,
+            shots,
+            seed,
+            self.config.backend,
+            self.config.truncation_budget,
+        )?;
+        self.run_solo(Task {
+            parities: Some(parities),
+            ..task
+        })
+    }
+
     /// Runs one [`JobSpec`], honoring its per-job backend and truncation-
     /// budget overrides (falling back to this executor's configuration).
     /// Equivalent to [`Executor::try_run`] when the spec carries no
@@ -451,6 +493,7 @@ impl Executor {
             source,
             kind,
             num_clbits: circuit.num_clbits(),
+            parities: None,
             shots,
             seed,
             budget,
@@ -536,8 +579,8 @@ impl Executor {
                 if cancelled[t].load(Ordering::Relaxed) {
                     continue;
                 }
-                let (ctx, counts) = local[t]
-                    .get_or_insert_with(|| (task.worker_ctx(), Counts::new(task.num_clbits)));
+                let (ctx, counts) =
+                    local[t].get_or_insert_with(|| (task.worker_ctx(), task.empty_counts()));
                 self.run_chunk(task, ctx, chunk, counts);
                 if ctx.truncation_error() > task.budget {
                     cancelled[t].store(true, Ordering::Relaxed);
@@ -565,32 +608,41 @@ impl Executor {
                 {
                     check_truncation(task.budget, max_bond, tally.worst_truncation)?;
                 }
-                Ok(tally.counts.unwrap_or_else(|| Counts::new(task.num_clbits)))
+                Ok(tally.counts.unwrap_or_else(|| task.empty_counts()))
             })
             .collect()
     }
 
     /// Runs chunk `chunk` of `task` on a worker's context with the chunk's
-    /// derived RNG, recording every shot into `counts`. This holds the
-    /// executor's one per-shot loop; it is generic over the shot so the
-    /// shot source is matched once per chunk rather than once per shot.
-    /// The outcome scratch words are reused across the chunk, so ≤ 64-bit
-    /// registers record without heap allocation.
+    /// derived RNG, recording every shot into `counts` (projected first
+    /// when the job has a [`ParityMap`]). This holds the executor's one
+    /// per-shot loop; it is generic over the shot so the shot source is
+    /// matched once per chunk rather than once per shot. The outcome
+    /// scratch words are reused across the chunk, so ≤ 64-bit registers
+    /// record without heap allocation.
     fn run_chunk(&self, task: &Task, ctx: &mut WorkerCtx, chunk: u64, counts: &mut Counts) {
         fn record(
             shots: u64,
             rng: &mut StdRng,
+            parities: Option<&ParityMap>,
             counts: &mut Counts,
             mut shot: impl FnMut(&mut StdRng, &mut OutcomeWord),
         ) {
-            let mut word = OutcomeWord::zero();
+            let (mut word, mut projected) = (OutcomeWord::zero(), OutcomeWord::zero());
             for _ in 0..shots {
                 shot(rng, &mut word);
-                counts.record_word(&word);
+                match parities {
+                    Some(map) => {
+                        map.project(&word, &mut projected);
+                        counts.record_word(&projected);
+                    }
+                    None => counts.record_word(&word),
+                }
             }
         }
         let shots = (task.shots - chunk * SHOT_CHUNK).min(SHOT_CHUNK);
         let rng = &mut StdRng::seed_from_u64(derive_seed(task.seed, chunk));
+        let parities = task.parities;
         match (&task.source, ctx) {
             (
                 ShotSource::Sampling {
@@ -598,22 +650,27 @@ impl Executor {
                     measure_map,
                 },
                 WorkerCtx::Basis(basis),
-            ) => record(shots, rng, counts, |rng, word| {
+            ) => record(shots, rng, parities, counts, |rng, word| {
                 sampler.draw_into(rng, basis);
                 pack_clbits(basis, measure_map, word);
             }),
             (ShotSource::Planned { plan }, WorkerCtx::Dense(sv)) => {
-                record(shots, rng, counts, |rng, word| {
+                record(shots, rng, parities, counts, |rng, word| {
                     plan.run_trajectory(sv, &self.config.noise, rng, word);
                 });
             }
+            (ShotSource::Frame { program }, WorkerCtx::WordFrame(frame)) => {
+                record(shots, rng, parities, counts, |rng, word| {
+                    program.run_shot(frame, &self.config.noise, rng, word);
+                });
+            }
             (ShotSource::Frame { program }, WorkerCtx::Frame(frame)) => {
-                record(shots, rng, counts, |rng, word| {
+                record(shots, rng, parities, counts, |rng, word| {
                     program.run_shot(frame, &self.config.noise, rng, word);
                 });
             }
             (ShotSource::Trajectory { circuit, .. }, WorkerCtx::Engine(engine)) => {
-                record(shots, rng, counts, |rng, word| {
+                record(shots, rng, parities, counts, |rng, word| {
                     self.trajectory(circuit, engine, rng, word);
                 });
             }
@@ -827,6 +884,9 @@ struct Task<'c> {
     /// The resolved backend (telemetry keys per-job wall time by it).
     kind: BackendKind,
     num_clbits: usize,
+    /// The projection each shot's outcome takes before it is tallied
+    /// ([`Executor::try_run_parities`]); `None` tallies raw outcomes.
+    parities: Option<&'c ParityMap>,
     shots: u64,
     seed: u64,
     /// Effective MPS truncation budget (per-job override or executor
@@ -841,9 +901,18 @@ impl Task<'_> {
         match &self.source {
             ShotSource::Sampling { .. } => WorkerCtx::Basis(OutcomeWord::zero()),
             ShotSource::Planned { plan } => WorkerCtx::Dense(StateVector::zero(plan.num_qubits())),
-            ShotSource::Frame { program } => WorkerCtx::Frame(program.frame()),
+            // Frames of up to 64 qubits live in two registers.
+            ShotSource::Frame { program } => match program.word_frame() {
+                Some(frame) => WorkerCtx::WordFrame(frame),
+                None => WorkerCtx::Frame(program.frame()),
+            },
             ShotSource::Trajectory { engine, .. } => WorkerCtx::Engine(engine.clone()),
         }
+    }
+
+    /// An empty tally for this job's (raw or projected) outcomes.
+    fn empty_counts(&self) -> Counts {
+        Counts::new(self.parities.map_or(self.num_clbits, ParityMap::len))
     }
 }
 
@@ -857,10 +926,12 @@ struct Tally {
 
 /// A worker's reusable simulation context for one job: the basis scratch
 /// word of a sampler, a bare state vector for plan-driven trajectories, a
-/// Pauli frame for frame-sampled Clifford jobs, or a per-shot engine.
+/// Pauli frame for frame-sampled Clifford jobs (in two words up to 64
+/// qubits, else multi-word), or a per-shot engine.
 enum WorkerCtx {
     Basis(OutcomeWord),
     Dense(StateVector),
+    WordFrame(WordFrame),
     Frame(PauliFrame),
     Engine(Engine),
 }

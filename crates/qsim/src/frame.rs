@@ -30,6 +30,17 @@
 //! shot, not just in distribution. This holds for every circuit
 //! [`FrameProgram::compile`] accepts: Clifford gates, measurement, reset,
 //! barriers, and conditionals on Paulis or the identity.
+//!
+//! # Frame storage
+//!
+//! A frame is one X and one Z bit per qubit ([`FrameBits`]). Programs of
+//! up to 64 qubits run on a [`WordFrame`]: two `u64`s that stay in
+//! registers through the shot, so a gate is a few register operations
+//! rather than loads and stores of heap words. Wider programs run on a
+//! [`PauliFrame`] of `n.div_ceil(64)` words per Pauli type.
+//! [`FrameProgram::run_shot`] is one body generic over the storage, so
+//! both take the same steps and make the same draws: the outcome words and
+//! the RNG stream are identical whichever storage a shot runs on.
 
 use crate::noise::{NoiseModel, Pauli};
 use crate::stabilizer::StabilizerSim;
@@ -109,22 +120,135 @@ pub struct FrameProgram {
     pivots: Vec<u64>,
 }
 
-/// A shot's Pauli frame: X and Z bits of `n` qubits in `n.div_ceil(64)`
-/// words each, qubit `q` at bit `q % 64` of word `q / 64`. Signs are
-/// global phases and are not kept.
+/// The bit storage of a shot's Pauli frame: one X and one Z bit per qubit.
+/// Signs are global phases and are not kept.
+///
+/// [`FrameProgram::run_shot`] is one body generic over it, so both
+/// storages take the same steps and make the same RNG draws:
+/// [`WordFrame`] keeps up to 64 qubits in two `u64`s that stay in
+/// registers through a shot, and [`PauliFrame`] keeps any width in words.
+/// The trait is sealed; those two are its only implementations.
+pub trait FrameBits: sealed::Sealed {
+    /// Whether the storage holds frames of `num_qubits` qubits.
+    fn holds(&self, num_qubits: usize) -> bool;
+    /// The X bit of qubit `q`.
+    fn x(&self, q: usize) -> bool;
+    /// The Z bit of qubit `q`.
+    fn z(&self, q: usize) -> bool;
+    /// Sets the X bit of qubit `q`.
+    fn set_x(&mut self, q: usize, on: bool);
+    /// Sets the Z bit of qubit `q`.
+    fn set_z(&mut self, q: usize, on: bool);
+    /// Multiplies the frame by `pauli` on `q`.
+    fn flip(&mut self, q: usize, pauli: Pauli);
+    /// Multiplies the frame by a Pauli string given as its X words, then
+    /// its Z words (`n.div_ceil(64)` each), when `on` is set. Masked
+    /// rather than branched: `on` is a coin flip per random measurement.
+    fn mul_if(&mut self, on: bool, pauli: &[u64]);
+    /// Resets the frame to the identity.
+    fn clear(&mut self);
+
+    /// Conjugates the frame by a Clifford gate on `a` and `b` (`b = a`
+    /// for a one-qubit gate), given as its conjugation table: the 4 bits
+    /// at `4 * i` are the image of frame bits `i = xa | za << 1 | xb << 2
+    /// | zb << 3`, packed the same way. One lookup and no branch on the
+    /// gate kind, so a shot's gate sequence costs no branch mispredictions.
+    #[inline(always)]
+    fn conjugate(&mut self, table: u64, a: usize, b: usize) {
+        let index = u64::from(self.x(a))
+            | u64::from(self.z(a)) << 1
+            | u64::from(self.x(b)) << 2
+            | u64::from(self.z(b)) << 3;
+        let out = table >> (4 * index);
+        self.set_x(a, out & 1 != 0);
+        self.set_z(a, out >> 1 & 1 != 0);
+        self.set_x(b, out >> 2 & 1 != 0);
+        self.set_z(b, out >> 3 & 1 != 0);
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::WordFrame {}
+    impl Sealed for super::PauliFrame {}
+}
+
+/// A frame of up to 64 qubits, qubit `q` at bit `q` of two `u64`s: the
+/// storage the executor uses for programs of that width. Get one from
+/// [`FrameProgram::word_frame`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WordFrame {
+    x: u64,
+    z: u64,
+}
+
+impl FrameBits for WordFrame {
+    #[inline(always)]
+    fn holds(&self, num_qubits: usize) -> bool {
+        num_qubits <= 64
+    }
+
+    #[inline(always)]
+    fn x(&self, q: usize) -> bool {
+        self.x >> q & 1 != 0
+    }
+
+    #[inline(always)]
+    fn z(&self, q: usize) -> bool {
+        self.z >> q & 1 != 0
+    }
+
+    #[inline(always)]
+    fn set_x(&mut self, q: usize, on: bool) {
+        self.x = self.x & !(1 << q) | u64::from(on) << q;
+    }
+
+    #[inline(always)]
+    fn set_z(&mut self, q: usize, on: bool) {
+        self.z = self.z & !(1 << q) | u64::from(on) << q;
+    }
+
+    #[inline(always)]
+    fn flip(&mut self, q: usize, pauli: Pauli) {
+        self.x ^= u64::from(pauli != Pauli::Z) << q;
+        self.z ^= u64::from(pauli != Pauli::X) << q;
+    }
+
+    #[inline(always)]
+    fn mul_if(&mut self, on: bool, pauli: &[u64]) {
+        let mask = u64::from(on).wrapping_neg();
+        self.x ^= pauli[0] & mask;
+        self.z ^= pauli[1] & mask;
+    }
+
+    #[inline(always)]
+    fn clear(&mut self) {
+        *self = WordFrame::default();
+    }
+}
+
+/// A frame of any width: X and Z bits of `n` qubits in `n.div_ceil(64)`
+/// words each, qubit `q` at bit `q % 64` of word `q / 64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PauliFrame {
     x: Vec<u64>,
     z: Vec<u64>,
 }
 
-#[inline]
+#[inline(always)]
 fn bit(v: &[u64], q: usize) -> bool {
     v[q / 64] >> (q % 64) & 1 != 0
 }
 
+/// Sets bit `q` of `v` to `on`.
+#[inline(always)]
+fn assign(v: &mut [u64], q: usize, on: bool) {
+    let word = &mut v[q / 64];
+    *word = *word & !(1 << (q % 64)) | u64::from(on) << (q % 64);
+}
+
 /// XORs `on` into bit `q` of `v`.
-#[inline]
+#[inline(always)]
 fn toggle(v: &mut [u64], q: usize, on: bool) {
     v[q / 64] ^= u64::from(on) << (q % 64);
 }
@@ -138,54 +262,73 @@ impl PauliFrame {
             z: vec![0; words],
         }
     }
+}
 
-    /// Resets the frame to the identity in place.
-    fn clear(&mut self) {
-        self.x.fill(0);
-        self.z.fill(0);
+impl FrameBits for PauliFrame {
+    #[inline(always)]
+    fn holds(&self, num_qubits: usize) -> bool {
+        self.x.len() == num_qubits.div_ceil(64)
     }
 
-    /// Multiplies the frame by `pauli` on `q`.
-    #[inline]
+    #[inline(always)]
+    fn x(&self, q: usize) -> bool {
+        bit(&self.x, q)
+    }
+
+    #[inline(always)]
+    fn z(&self, q: usize) -> bool {
+        bit(&self.z, q)
+    }
+
+    #[inline(always)]
+    fn set_x(&mut self, q: usize, on: bool) {
+        assign(&mut self.x, q, on);
+    }
+
+    #[inline(always)]
+    fn set_z(&mut self, q: usize, on: bool) {
+        assign(&mut self.z, q, on);
+    }
+
+    #[inline(always)]
     fn flip(&mut self, q: usize, pauli: Pauli) {
         toggle(&mut self.x, q, pauli != Pauli::Z);
         toggle(&mut self.z, q, pauli != Pauli::X);
     }
 
-    /// Multiplies the frame by a stabilizer given as X words then Z words.
-    fn mul(&mut self, pauli: &[u64]) {
+    #[inline(always)]
+    fn mul_if(&mut self, on: bool, pauli: &[u64]) {
+        let mask = u64::from(on).wrapping_neg();
         let (px, pz) = pauli.split_at(self.x.len());
         for (w, p) in self.x.iter_mut().zip(px) {
-            *w ^= p;
+            *w ^= p & mask;
         }
         for (w, p) in self.z.iter_mut().zip(pz) {
-            *w ^= p;
+            *w ^= p & mask;
         }
     }
 
-    /// Conjugates the frame by a gate on `a` and `b` given as its
-    /// [`conjugation_table`]. One lookup and no branch on the gate kind,
-    /// so a shot's gate sequence costs no branch mispredictions.
-    #[inline]
+    #[inline(always)]
+    fn clear(&mut self) {
+        self.x.fill(0);
+        self.z.fill(0);
+    }
+
+    /// The default body on split borrows of the two word slices, so the
+    /// `Vec` headers are read once per gate rather than once per bit.
+    #[inline(always)]
     fn conjugate(&mut self, table: u64, a: usize, b: usize) {
-        let (x, z) = (&mut self.x, &mut self.z);
+        let (x, z) = (&mut self.x[..], &mut self.z[..]);
         let index = u64::from(bit(x, a))
             | u64::from(bit(z, a)) << 1
             | u64::from(bit(x, b)) << 2
             | u64::from(bit(z, b)) << 3;
         let out = table >> (4 * index);
-        assign(x, a, out & 1);
-        assign(z, a, out >> 1 & 1);
-        assign(x, b, out >> 2 & 1);
-        assign(z, b, out >> 3 & 1);
+        assign(x, a, out & 1 != 0);
+        assign(z, a, out >> 1 & 1 != 0);
+        assign(x, b, out >> 2 & 1 != 0);
+        assign(z, b, out >> 3 & 1 != 0);
     }
-}
-
-/// Sets bit `q` of `v` to `value` (0 or 1).
-#[inline]
-fn assign(v: &mut [u64], q: usize, value: u64) {
-    let word = &mut v[q / 64];
-    *word = *word & !(1 << (q % 64)) | value << (q % 64);
 }
 
 /// A Clifford gate's action on the frame bits `(xa, za, xb, zb)` of its
@@ -304,22 +447,40 @@ impl FrameProgram {
         })
     }
 
-    /// A fresh frame sized for this program, for one worker's shots.
+    /// A fresh multi-word frame sized for this program: the storage for
+    /// programs of any width.
     pub fn frame(&self) -> PauliFrame {
         PauliFrame::new(self.num_qubits)
     }
 
+    /// A fresh register-resident frame, for programs of at most 64 qubits
+    /// (`None` for wider ones). Shots on it are bit-identical to shots on
+    /// [`FrameProgram::frame`], RNG stream included.
+    pub fn word_frame(&self) -> Option<WordFrame> {
+        (self.num_qubits <= 64).then_some(WordFrame::default())
+    }
+
     /// Runs one shot under `noise`, writing the classical outcome into
     /// `clbits` (cleared first). Bit-identical, RNG stream included, to a
-    /// tableau shot of the compiled circuit; see the module docs. A warm
-    /// shot allocates nothing for registers of up to 64 bits.
-    pub fn run_shot(
+    /// tableau shot of the compiled circuit, on either frame storage; see
+    /// the module docs. A warm shot allocates nothing for registers of up
+    /// to 64 bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `frame` was not sized for this program.
+    pub fn run_shot<F: FrameBits>(
         &self,
-        frame: &mut PauliFrame,
+        frame: &mut F,
         noise: &NoiseModel,
         rng: &mut impl Rng,
         clbits: &mut OutcomeWord,
     ) {
+        assert!(
+            frame.holds(self.num_qubits),
+            "frame storage does not fit {} qubits",
+            self.num_qubits
+        );
         frame.clear();
         clbits.clear();
         for op in &self.ops {
@@ -357,7 +518,7 @@ impl FrameProgram {
                 FrameOp::Reset { qubit, collapse } => {
                     self.measure(frame, qubit, collapse, rng);
                     // The qubit is |0⟩ in both the shot and the reference.
-                    assign(&mut frame.x, qubit, 0);
+                    frame.set_x(qubit, false);
                 }
                 FrameOp::Idle => {
                     noise.for_each_idle_error(self.num_qubits, rng, |q, p| frame.flip(q, p));
@@ -368,21 +529,20 @@ impl FrameProgram {
 
     /// A shot's outcome for a measurement of `q` the reference found as
     /// `collapse`, updating the frame to the post-measurement state.
-    #[inline]
+    #[inline(always)]
     fn measure(
         &self,
-        frame: &mut PauliFrame,
+        frame: &mut impl FrameBits,
         q: usize,
         collapse: Collapse,
         rng: &mut impl Rng,
     ) -> bool {
         match collapse {
-            Collapse::Determined(outcome) => outcome ^ bit(&frame.x, q),
+            Collapse::Determined(outcome) => outcome ^ frame.x(q),
             Collapse::Random(at) => {
                 let outcome = rng.gen_bool(0.5);
-                if bit(&frame.x, q) != outcome {
-                    frame.mul(&self.pivots[at..][..2 * frame.x.len()]);
-                }
+                let pivot = &self.pivots[at..][..2 * self.num_qubits.div_ceil(64)];
+                frame.mul_if(frame.x(q) != outcome, pivot);
                 outcome
             }
         }

@@ -191,11 +191,115 @@ impl OutcomeWord {
         word
     }
 
+    /// Overwrites the value with little-endian 64-bit words, keeping the
+    /// spill tail's capacity (scratch-word twin of
+    /// [`OutcomeWord::from_words`]).
+    pub(crate) fn assign_words(&mut self, words: impl IntoIterator<Item = u64>) {
+        let mut words = words.into_iter();
+        self.head = words.next().unwrap_or(0);
+        self.rest.clear();
+        self.rest.extend(words);
+        self.trim();
+    }
+
     /// Drops trailing zero spill words (restores the normalized form).
     fn trim(&mut self) {
         while self.rest.last() == Some(&0) {
             self.rest.pop();
         }
+    }
+}
+
+/// A projection of outcome words onto parities of their classical bits:
+/// bit `j` of a projected word is the XOR of the bits parity `j` lists.
+///
+/// This is how a register of raw measurement records becomes Stim-style
+/// detection events and observables (C. Gidney, "Stim: a fast stabilizer
+/// circuit simulator", Quantum 5, 497 (2021)): each detector and each
+/// observable is a parity of measurement records.
+/// [`crate::exec::Executor::try_run_parities`] projects every shot before
+/// it is tallied, so a run with few distinct parity patterns keeps few
+/// counts keys however many raw outcomes it saw.
+///
+/// ```
+/// use qsim::word::{OutcomeWord, ParityMap};
+///
+/// // Parity 0 is bit 0 alone; parity 1 is bits 1 and 2.
+/// let map = ParityMap::new(3, &[vec![0], vec![1, 2]]);
+/// let mut projected = OutcomeWord::zero();
+/// map.project(&OutcomeWord::from(0b110), &mut projected);
+/// assert_eq!(projected, 0b00);
+/// map.project(&OutcomeWord::from(0b011), &mut projected);
+/// assert_eq!(projected, 0b11);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParityMap {
+    num_clbits: usize,
+    /// Words per mask: `num_clbits.div_ceil(64)`, at least one.
+    words: usize,
+    /// One clbit mask per parity, `words` words each.
+    masks: Vec<u64>,
+}
+
+impl ParityMap {
+    /// The map whose parity `j` is the XOR of the clbits in `parities[j]`
+    /// (a clbit listed twice cancels), over a `num_clbits`-bit register.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a parity lists a clbit outside the register.
+    pub fn new(num_clbits: usize, parities: &[Vec<usize>]) -> Self {
+        let words = num_clbits.div_ceil(64).max(1);
+        let mut masks = vec![0u64; parities.len() * words];
+        for (mask, clbits) in masks.chunks_exact_mut(words).zip(parities) {
+            for &c in clbits {
+                assert!(
+                    c < num_clbits,
+                    "clbit {c} is outside a {num_clbits}-bit register"
+                );
+                mask[c / 64] ^= 1 << (c % 64);
+            }
+        }
+        ParityMap {
+            num_clbits,
+            words,
+            masks,
+        }
+    }
+
+    /// The number of parities: the width of a projected word.
+    pub fn len(&self) -> usize {
+        self.masks.len() / self.words
+    }
+
+    /// `true` when the map has no parities.
+    pub fn is_empty(&self) -> bool {
+        self.masks.is_empty()
+    }
+
+    /// The width of the registers the map projects.
+    pub fn num_clbits(&self) -> usize {
+        self.num_clbits
+    }
+
+    /// Writes the projection of `word` into `out`. Reusing one `out`
+    /// across shots allocates nothing once it has held the widest
+    /// projection.
+    pub fn project(&self, word: &OutcomeWord, out: &mut OutcomeWord) {
+        let parity = |mask: &[u64]| {
+            let ones: u32 = mask
+                .iter()
+                .enumerate()
+                .map(|(k, m)| (word.word(k) & m).count_ones())
+                .sum();
+            u64::from(ones & 1)
+        };
+        out.assign_words(self.masks.chunks(64 * self.words).map(|block| {
+            block
+                .chunks_exact(self.words)
+                .enumerate()
+                .fold(0, |acc, (j, mask)| acc | parity(mask) << j)
+        }));
     }
 }
 

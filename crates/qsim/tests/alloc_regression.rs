@@ -10,7 +10,9 @@
 //!   (49 qubits, 121 measurements and resets) allocates nothing.
 //! * Pauli-frame shots: `FrameProgram::run_shot` draws its noise through
 //!   the non-allocating visitors, so a warm distance-5 frame shot with
-//!   errors firing allocates nothing either.
+//!   errors firing allocates nothing either, on the multi-word storage
+//!   and on the one-word storage, and neither does projecting its outcome
+//!   through a `ParityMap` and tallying a key seen before.
 //!
 //! These pin the properties so a future refactor cannot quietly
 //! reintroduce a per-gate or per-measurement allocation on a simulator hot
@@ -21,6 +23,7 @@ use qcir::circuit::Op;
 use qcir::gate::Gate;
 use qcir::math::Matrix;
 use qec::SurfaceCode;
+use qsim::dist::Counts;
 use qsim::frame::FrameProgram;
 use qsim::noise::{NoiseModel, Pauli};
 use qsim::stabilizer::StabilizerSim;
@@ -174,10 +177,11 @@ fn warm_tableau_memory_shot_allocates_nothing() {
 #[test]
 fn warm_frame_memory_shot_allocates_nothing() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let circuit = SurfaceCode::new(5).memory_circuit(2).circuit;
+    let code = SurfaceCode::new(5);
+    let mem = code.memory_circuit(2);
     // High enough that several gate errors fire in every shot.
     let noise = NoiseModel::uniform_depolarizing(0.05);
-    let program = FrameProgram::compile(&circuit).expect("memory circuits are Clifford");
+    let program = FrameProgram::compile(&mem.circuit).expect("memory circuits are Clifford");
     let mut frame = program.frame();
     let mut rng = StdRng::seed_from_u64(6);
     let mut word = OutcomeWord::zero();
@@ -192,5 +196,27 @@ fn warm_frame_memory_shot_allocates_nothing() {
     assert_eq!(
         min_allocs, 0,
         "a warm frame memory shot allocated {min_allocs} time(s)"
+    );
+
+    // The executor's detector-sampling step on the register-resident
+    // storage: a one-word shot, its projection onto the experiment's
+    // observable and detectors, and the tally of a key seen before.
+    let map = mem.parity_map(&code);
+    let mut narrow = program.word_frame().expect("49 qubits fit one word");
+    let mut projected = OutcomeWord::zero();
+    let mut counts = Counts::new(map.len());
+    // Replaying one RNG state makes the measured shot's key one the warm-up
+    // already tallied, so `record_word` only bumps a count.
+    let replay = rng.clone();
+    let mut shot = |rng: &mut StdRng| {
+        program.run_shot(&mut narrow, &noise, rng, &mut word);
+        map.project(&word, &mut projected);
+        counts.record_word(&projected);
+    };
+    shot(&mut replay.clone());
+    let min_allocs = min_allocations(|| shot(&mut replay.clone()));
+    assert_eq!(
+        min_allocs, 0,
+        "a warm one-word shot, projected and tallied, allocated {min_allocs} time(s)"
     );
 }

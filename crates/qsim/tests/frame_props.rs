@@ -262,3 +262,85 @@ fn surface_memory_d7_matches_the_oracle() {
         oracle_counts(&circuit, &noise, 64, 3)
     );
 }
+
+/// Every width the one-word storage holds.
+fn arb_narrow_qubits() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..=8, 9usize..=64, Just(64usize)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The register-resident one-word storage and the multi-word storage
+    /// run the same shots: identical outcome words shot by shot, and the
+    /// RNG left at the same draw.
+    #[test]
+    fn word_and_multi_word_frames_agree_shot_by_shot(
+        n in arb_narrow_qubits(),
+        raw in arb_ops(),
+        rates in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        seed in 0u64..u64::MAX,
+    ) {
+        let qc = build_circuit(n, &raw);
+        let noise = noise_model([rates.0, rates.1, rates.2, rates.3]);
+        let program = FrameProgram::compile(&qc).expect("Pauli conditionals compile");
+        let mut narrow = program.word_frame().expect("at most 64 qubits");
+        let mut wide = program.frame();
+        let mut narrow_rng = StdRng::seed_from_u64(seed);
+        let mut wide_rng = StdRng::seed_from_u64(seed);
+        let mut narrow_word = OutcomeWord::zero();
+        let mut wide_word = OutcomeWord::zero();
+        for shot in 0..8 {
+            program.run_shot(&mut narrow, &noise, &mut narrow_rng, &mut narrow_word);
+            program.run_shot(&mut wide, &noise, &mut wide_rng, &mut wide_word);
+            prop_assert_eq!(&narrow_word, &wide_word, "n={} shot {}", n, shot);
+        }
+        prop_assert_eq!(narrow_rng.gen::<u64>(), wide_rng.gen::<u64>());
+    }
+
+    /// Past one word, the multi-word storage still matches the tableau at
+    /// every width up to three words.
+    #[test]
+    fn multi_word_frames_match_the_tableau_past_one_word(
+        n in 65usize..=130,
+        raw in arb_ops(),
+        rates in (0usize..3, 0usize..3, 0usize..3, 0usize..3),
+        seed in 0u64..u64::MAX,
+    ) {
+        let qc = build_circuit(n, &raw);
+        let noise = noise_model([rates.0, rates.1, rates.2, rates.3]);
+        let program = FrameProgram::compile(&qc).expect("Pauli conditionals compile");
+        prop_assert!(program.word_frame().is_none());
+        let mut frame = program.frame();
+        let mut sim = StabilizerSim::new(n);
+        let mut frame_rng = StdRng::seed_from_u64(seed);
+        let mut tableau_rng = StdRng::seed_from_u64(seed);
+        let mut frame_word = OutcomeWord::zero();
+        let mut tableau_word = OutcomeWord::zero();
+        for shot in 0..4 {
+            program.run_shot(&mut frame, &noise, &mut frame_rng, &mut frame_word);
+            tableau_shot(&qc, &noise, &mut sim, &mut tableau_rng, &mut tableau_word);
+            prop_assert_eq!(&frame_word, &tableau_word, "n={} shot {}", n, shot);
+        }
+        prop_assert_eq!(frame_rng.gen::<u64>(), tableau_rng.gen::<u64>());
+    }
+}
+
+/// A frame sized for one program refuses a program it cannot hold.
+#[test]
+#[should_panic(expected = "frame storage does not fit")]
+fn a_frame_of_the_wrong_width_is_refused() {
+    let mut narrow = Circuit::new(2, 2);
+    narrow.h(0).cx(0, 1).measure_all();
+    let mut wide = Circuit::new(70, 1);
+    wide.h(69).measure(69, 0);
+    let mut frame = FrameProgram::compile(&narrow).unwrap().frame();
+    let program = FrameProgram::compile(&wide).unwrap();
+    let mut rng = StdRng::seed_from_u64(1);
+    program.run_shot(
+        &mut frame,
+        &NoiseModel::ideal(),
+        &mut rng,
+        &mut OutcomeWord::zero(),
+    );
+}

@@ -10,9 +10,13 @@
 //!   tableau/dense ratio on the d = 3 rows is the speedup CI tracks.
 //! * `parallel_exec` — a 10k-shot noisy GHZ workload at 1 vs. 8 worker
 //!   threads (bit-identical results; the ratio is the wall-clock speedup).
+//! * `memory_point` — one whole point of perfbench's `qec_memory` ladder:
+//!   a `circuit_level_experiment_threaded` call at d = 5, two rounds,
+//!   2,048 shots on two threads, simulation and decoding included.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcir::circuit::Circuit;
+use qec::memory::circuit_level_experiment_threaded;
 use qec::surface::SurfaceCode;
 use qsim::backend::BackendChoice;
 use qsim::exec::ExecutorConfig;
@@ -85,5 +89,23 @@ fn bench_parallel_exec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_clifford_surface_memory, bench_parallel_exec);
+fn bench_memory_point(c: &mut Criterion) {
+    let noise = NoiseModel::uniform_depolarizing(0.001);
+    let mut group = c.benchmark_group("memory_point");
+    group.bench_function("d5_r2_2048", |b| {
+        b.iter(|| {
+            std::hint::black_box(
+                circuit_level_experiment_threaded(5, &noise, 2, 2048, 1, 2).unwrap(),
+            )
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_clifford_surface_memory,
+    bench_parallel_exec,
+    bench_memory_point
+);
 criterion_main!(benches);

@@ -2,10 +2,12 @@
 //!
 //! Topology: the coordinator self-execs N copies of its own binary in
 //! `--worker` mode and speaks the [`crate::proto`] line protocol over
-//! each worker's stdio pipes. A shared deque of range assignments feeds
-//! one supervisor thread per worker; results land in per-range slots and
-//! are folded **in range order** once everything is in, so the merged
-//! report never depends on which worker finished first.
+//! each worker's stdio pipes. Worker `I` is dealt range `I` first, so
+//! every spawned worker gets work however late its supervisor thread is
+//! scheduled; a shared deque of the remaining range assignments then
+//! feeds one supervisor thread per worker. Results land in per-range
+//! slots and are folded **in range order** once everything is in, so the
+//! merged report never depends on which worker finished first.
 //!
 //! Failure semantics: a worker that dies (EOF/broken pipe) or misses the
 //! per-range deadline is killed and its in-flight range is requeued for
@@ -325,9 +327,17 @@ impl WorkerHandle {
     }
 }
 
-/// Drives one worker until the run completes, fails, or the worker dies.
-fn supervise(rank: usize, worker: &mut WorkerHandle, shared: &Shared, timeout: Duration) {
-    while let Some(assignment) = shared.next_assignment() {
+/// Drives one worker, starting with its dealt `first` range, until the
+/// run completes, fails, or the worker dies.
+fn supervise(
+    rank: usize,
+    first: Option<Assignment>,
+    worker: &mut WorkerHandle,
+    shared: &Shared,
+    timeout: Duration,
+) {
+    let mut dealt = first;
+    while let Some(assignment) = dealt.take().or_else(|| shared.next_assignment()) {
         let (start, end) = shared.ranges[assignment.range_id];
         // The span covers send → compute → recv; failure arms `return`,
         // so it still emits (without `ok`) when the worker dies mid-range.
@@ -418,17 +428,18 @@ pub fn run_sharded_with_stats(
     let ranges = qeval::report::partition_ranges(spec.units(), config.range_size);
     let workers = config.workers.max(1).min(ranges.len().max(1));
 
+    let mut queue: VecDeque<Assignment> = (0..ranges.len())
+        .map(|range_id| Assignment {
+            range_id,
+            attempt: 0,
+        })
+        .collect();
+    // Deal one range per worker up front: with a shared queue alone, the
+    // first supervisor can drain a grid of fast ranges before a later one
+    // is scheduled, leaving that worker idle for the whole run.
+    let dealt: Vec<Option<Assignment>> = (0..workers).map(|_| queue.pop_front()).collect();
     let shared = Shared {
-        queue: Mutex::new(
-            ranges
-                .iter()
-                .enumerate()
-                .map(|(range_id, _)| Assignment {
-                    range_id,
-                    attempt: 0,
-                })
-                .collect(),
-        ),
+        queue: Mutex::new(queue),
         wake: Condvar::new(),
         slots: ranges.iter().map(|_| Mutex::new(None)).collect(),
         remaining: AtomicUsize::new(ranges.len()),
@@ -464,9 +475,9 @@ pub fn run_sharded_with_stats(
     }
 
     std::thread::scope(|scope| {
-        for (rank, worker) in handles.iter_mut().enumerate() {
+        for ((rank, worker), first) in handles.iter_mut().enumerate().zip(dealt) {
             let shared = &shared;
-            scope.spawn(move || supervise(rank, worker, shared, config.timeout));
+            scope.spawn(move || supervise(rank, first, worker, shared, config.timeout));
         }
     });
 
