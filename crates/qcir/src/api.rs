@@ -3,12 +3,19 @@
 //! The reproduced paper finds that the dominant failure mode of LLM-written
 //! Qiskit code is *library drift*: imports of the wrong version, use of
 //! deprecated or removed symbols, and APIs the model's training data
-//! predates. To reproduce that failure surface we version QasmLite itself:
-//! the registry records, for every symbol, when it was introduced,
-//! deprecated and removed, and what replaced it. The semantic checker
-//! resolves every gate name against the *imported* version and produces the
-//! same class of diagnostics a Python `DeprecationWarning`/`AttributeError`
-//! would.
+//! predates. To reproduce that failure surface we version QasmLite itself.
+//!
+//! The library is declared once, in the name-sorted table [`GATES`]: each
+//! row holds a gate name, when it was introduced, deprecated and removed,
+//! what replaced it, how many angle parameters it takes and how it builds
+//! its [`Gate`]. [`ApiRegistry::resolve`], [`ApiRegistry::symbols_at`],
+//! [`Gate::from_name`] and the semantic checker all read that table. The
+//! checker resolves every gate name against the *imported* version and
+//! produces the same class of diagnostics a Python
+//! `DeprecationWarning`/`AttributeError` would, then builds the gate from
+//! the same row. A legacy row builds its replacement's gate (`u2(φ, λ)` is
+//! `U(π/2, φ, λ)`), so a program importing 1.0 or 1.1 may use the 1.x names
+//! without a diagnostic; under 2.0 they warn and under 2.1 they are errors.
 //!
 //! Release history modelled here:
 //!
@@ -19,10 +26,10 @@
 //! | 2.0 | adds `cx`, `ccx`, `p`, `u`, `sx`, `id`; deprecates the 1.x names |
 //! | 2.1 | **removes** the deprecated 1.x names (current release) |
 
-use std::collections::BTreeMap;
+use crate::gate::Gate;
+use std::f64::consts::FRAC_PI_2;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// A library version `major.minor`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,17 +89,138 @@ pub const RELEASES: [Version; 4] = [
     Version::new(2, 1),
 ];
 
-/// Lifecycle record for one symbol.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SymbolInfo {
-    /// Version that introduced the symbol.
+/// One name of the QasmLite gate library: its lifecycle, how many angle
+/// parameters it takes and how it builds its [`Gate`].
+#[derive(Debug)]
+pub struct GateRow {
+    /// The name as written in source.
+    pub name: &'static str,
+    /// Version that introduced the name.
     pub introduced: Version,
     /// Version that deprecated it, if any.
     pub deprecated: Option<Version>,
     /// Version that removed it, if any.
     pub removed: Option<Version>,
-    /// Canonical replacement name, for deprecated/removed symbols.
+    /// Canonical replacement name, for deprecated/removed names.
     pub replacement: Option<&'static str>,
+    /// Number of angle parameters the name takes.
+    pub params: usize,
+    /// Builds the gate from exactly `params` parameters.
+    build: fn(&[f64]) -> Gate,
+}
+
+impl GateRow {
+    /// Resolves this name against an imported `version`.
+    pub fn resolve(&self, version: Version) -> Resolution {
+        if version < self.introduced {
+            return Resolution::NotYetIntroduced {
+                introduced: self.introduced,
+            };
+        }
+        let replacement = self.replacement;
+        if self.removed.is_some_and(|removed| version >= removed) {
+            return Resolution::Removed { replacement };
+        }
+        if self
+            .deprecated
+            .is_some_and(|deprecated| version >= deprecated)
+        {
+            return Resolution::Deprecated { replacement };
+        }
+        Resolution::Ok
+    }
+
+    /// Builds the gate, or `None` when `params` has the wrong length. A
+    /// legacy name builds its replacement's gate.
+    pub fn build(&self, params: &[f64]) -> Option<Gate> {
+        (params.len() == self.params).then(|| (self.build)(params))
+    }
+}
+
+const V1_0: Version = RELEASES[0];
+const V1_1: Version = RELEASES[1];
+const V2_0: Version = RELEASES[2];
+const V2_1: Version = RELEASES[3];
+
+/// A current name, introduced in `introduced` and never deprecated.
+const fn current(
+    name: &'static str,
+    introduced: Version,
+    params: usize,
+    build: fn(&[f64]) -> Gate,
+) -> GateRow {
+    GateRow {
+        name,
+        introduced,
+        deprecated: None,
+        removed: None,
+        replacement: None,
+        params,
+        build,
+    }
+}
+
+/// A 1.0 name deprecated in 2.0 and removed in 2.1 in favour of
+/// `replacement`.
+const fn legacy(
+    name: &'static str,
+    replacement: &'static str,
+    params: usize,
+    build: fn(&[f64]) -> Gate,
+) -> GateRow {
+    GateRow {
+        name,
+        introduced: V1_0,
+        deprecated: Some(V2_0),
+        removed: Some(V2_1),
+        replacement: Some(replacement),
+        params,
+        build,
+    }
+}
+
+/// The gate library, sorted by name: every name QasmLite has ever had,
+/// with the release history above.
+pub static GATES: [GateRow; 32] = [
+    current("ccx", V2_0, 0, |_| Gate::CCX),
+    current("ch", V1_1, 0, |_| Gate::CH),
+    legacy("cnot", "cx", 0, |_| Gate::CX),
+    current("cp", V1_0, 1, |p| Gate::CP(p[0])),
+    current("crx", V1_0, 1, |p| Gate::CRX(p[0])),
+    current("cry", V1_0, 1, |p| Gate::CRY(p[0])),
+    current("crz", V1_0, 1, |p| Gate::CRZ(p[0])),
+    current("cswap", V1_1, 0, |_| Gate::CSWAP),
+    current("cx", V2_0, 0, |_| Gate::CX),
+    current("cy", V1_0, 0, |_| Gate::CY),
+    current("cz", V1_0, 0, |_| Gate::CZ),
+    current("h", V1_0, 0, |_| Gate::H),
+    current("id", V2_0, 0, |_| Gate::Id),
+    legacy("iden", "id", 0, |_| Gate::Id),
+    current("p", V2_0, 1, |p| Gate::P(p[0])),
+    current("rx", V1_0, 1, |p| Gate::RX(p[0])),
+    current("ry", V1_0, 1, |p| Gate::RY(p[0])),
+    current("rz", V1_0, 1, |p| Gate::RZ(p[0])),
+    current("s", V1_0, 0, |_| Gate::S),
+    current("sdg", V1_0, 0, |_| Gate::Sdg),
+    current("swap", V1_1, 0, |_| Gate::SWAP),
+    current("sx", V2_0, 0, |_| Gate::SX),
+    current("t", V1_0, 0, |_| Gate::T),
+    current("tdg", V1_0, 0, |_| Gate::Tdg),
+    legacy("toffoli", "ccx", 0, |_| Gate::CCX),
+    current("u", V2_0, 3, |p| Gate::U(p[0], p[1], p[2])),
+    legacy("u1", "p", 1, |p| Gate::P(p[0])),
+    // u2(phi, lambda) = U(pi/2, phi, lambda)
+    legacy("u2", "u", 2, |p| Gate::U(FRAC_PI_2, p[0], p[1])),
+    legacy("u3", "u", 3, |p| Gate::U(p[0], p[1], p[2])),
+    current("x", V1_0, 0, |_| Gate::X),
+    current("y", V1_0, 0, |_| Gate::Y),
+    current("z", V1_0, 0, |_| Gate::Z),
+];
+
+/// The [`GATES`] row for `name`, if the library has ever had it.
+pub fn lookup(name: &str) -> Option<&'static GateRow> {
+    let index = GATES.binary_search_by(|row| row.name.cmp(name)).ok()?;
+    Some(&GATES[index])
 }
 
 /// Resolution outcome for a symbol against a specific imported version.
@@ -110,13 +238,10 @@ pub enum Resolution {
     Unknown,
 }
 
-/// The registry of library modules and symbol lifecycles.
+/// The registry of library modules, over the [`GATES`] table.
 #[derive(Debug, Clone)]
 pub struct ApiRegistry {
-    modules: Vec<&'static str>,
-    symbols: BTreeMap<&'static str, SymbolInfo>,
-    /// Maps legacy names to (canonical name, parameter adapter id).
-    aliases: BTreeMap<&'static str, &'static str>,
+    modules: &'static [&'static str],
 }
 
 impl Default for ApiRegistry {
@@ -126,84 +251,10 @@ impl Default for ApiRegistry {
 }
 
 impl ApiRegistry {
-    /// The standard registry, built once per process and shared: checking
-    /// a program needs only a borrow, so hot paths skip the rebuild.
-    pub fn shared() -> &'static ApiRegistry {
-        static SHARED: OnceLock<ApiRegistry> = OnceLock::new();
-        SHARED.get_or_init(ApiRegistry::standard)
-    }
-
-    /// Builds the standard registry with the release history above.
+    /// The standard registry with the release history above.
     pub fn standard() -> Self {
-        let v10 = Version::new(1, 0);
-        let v11 = Version::new(1, 1);
-        let v20 = Version::new(2, 0);
-        let v21 = Version::new(2, 1);
-        let mut symbols = BTreeMap::new();
-        let mut put = |name: &'static str, info: SymbolInfo| {
-            symbols.insert(name, info);
-        };
-        let stable_v10 = SymbolInfo {
-            introduced: v10,
-            deprecated: None,
-            removed: None,
-            replacement: None,
-        };
-        // Core gates present since 1.0 and never touched.
-        for name in [
-            "h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz", "cy", "cz", "crx", "cry",
-            "crz", "cp",
-        ] {
-            put(name, stable_v10.clone());
-        }
-        // 1.1 additions.
-        for name in ["swap", "ch", "cswap"] {
-            put(
-                name,
-                SymbolInfo {
-                    introduced: v11,
-                    ..stable_v10.clone()
-                },
-            );
-        }
-        // 2.0 additions (canonical modern names).
-        for name in ["cx", "ccx", "p", "u", "sx", "id"] {
-            put(
-                name,
-                SymbolInfo {
-                    introduced: v20,
-                    deprecated: None,
-                    removed: None,
-                    replacement: None,
-                },
-            );
-        }
-        // Legacy names: deprecated in 2.0, removed in 2.1.
-        let legacy = [
-            ("cnot", "cx"),
-            ("toffoli", "ccx"),
-            ("u1", "p"),
-            ("u2", "u"),
-            ("u3", "u"),
-            ("iden", "id"),
-        ];
-        let mut aliases = BTreeMap::new();
-        for (old, new) in legacy {
-            put(
-                old,
-                SymbolInfo {
-                    introduced: v10,
-                    deprecated: Some(v20),
-                    removed: Some(v21),
-                    replacement: Some(new),
-                },
-            );
-            aliases.insert(old, new);
-        }
         ApiRegistry {
-            modules: vec!["qasmlite", "qasmlite.gates", "qasmlite.runtime"],
-            symbols,
-            aliases,
+            modules: &["qasmlite", "qasmlite.gates", "qasmlite.runtime"],
         }
     }
 
@@ -219,76 +270,19 @@ impl ApiRegistry {
 
     /// Resolves `name` against an imported `version`.
     pub fn resolve(&self, name: &str, version: Version) -> Resolution {
-        let Some(info) = self.symbols.get(name) else {
-            return Resolution::Unknown;
-        };
-        if version < info.introduced {
-            return Resolution::NotYetIntroduced {
-                introduced: info.introduced,
-            };
-        }
-        if let Some(removed) = info.removed {
-            if version >= removed {
-                return Resolution::Removed {
-                    replacement: info.replacement,
-                };
-            }
-        }
-        if let Some(deprecated) = info.deprecated {
-            if version >= deprecated {
-                return Resolution::Deprecated {
-                    replacement: info.replacement,
-                };
-            }
-        }
-        Resolution::Ok
+        lookup(name).map_or(Resolution::Unknown, |row| row.resolve(version))
     }
 
-    /// Canonical modern name for a (possibly legacy) gate name.
-    pub fn canonical_name<'a>(&self, name: &'a str) -> &'a str
-    where
-        'static: 'a,
-    {
-        self.aliases.get(name).copied().unwrap_or(name)
-    }
-
-    /// Lifecycle info for a symbol, if it has ever existed.
-    pub fn symbol(&self, name: &str) -> Option<&SymbolInfo> {
-        self.symbols.get(name)
-    }
-
-    /// All symbols valid (non-removed) at `version` — the "documentation"
-    /// surface the RAG corpus is generated from.
+    /// All names valid (non-removed) at `version`, sorted — the
+    /// "documentation" surface the RAG corpus is generated from.
     pub fn symbols_at(&self, version: Version) -> Vec<&'static str> {
-        self.symbols
+        GATES
             .iter()
-            .filter(|(_, info)| {
-                version >= info.introduced && info.removed.is_none_or(|r| version < r)
+            .filter(|row| {
+                version >= row.introduced && row.removed.is_none_or(|removed| version < removed)
             })
-            .map(|(name, _)| *name)
+            .map(|row| row.name)
             .collect()
-    }
-
-    /// All legacy → canonical alias pairs.
-    pub fn aliases(&self) -> impl Iterator<Item = (&'static str, &'static str)> + '_ {
-        self.aliases.iter().map(|(a, b)| (*a, *b))
-    }
-}
-
-/// Adapts legacy gate invocations to modern parameter forms.
-///
-/// Returns the canonical name plus the adapted parameter vector, or `None`
-/// when the legacy parameter count is wrong.
-pub fn adapt_legacy_params(name: &str, params: &[f64]) -> Option<(&'static str, Vec<f64>)> {
-    match (name, params.len()) {
-        ("cnot", 0) => Some(("cx", vec![])),
-        ("toffoli", 0) => Some(("ccx", vec![])),
-        ("iden", 0) => Some(("id", vec![])),
-        ("u1", 1) => Some(("p", vec![params[0]])),
-        // u2(phi, lambda) = U(pi/2, phi, lambda)
-        ("u2", 2) => Some(("u", vec![std::f64::consts::FRAC_PI_2, params[0], params[1]])),
-        ("u3", 3) => Some(("u", params.to_vec())),
-        _ => None,
     }
 }
 
@@ -363,18 +357,14 @@ mod tests {
     }
 
     #[test]
-    fn legacy_param_adaptation() {
-        assert_eq!(adapt_legacy_params("cnot", &[]), Some(("cx", vec![])));
-        let (name, params) = adapt_legacy_params("u2", &[0.1, 0.2]).unwrap();
-        assert_eq!(name, "u");
-        assert_eq!(params.len(), 3);
-        assert!(adapt_legacy_params("u2", &[0.1]).is_none());
-    }
-
-    #[test]
-    fn canonical_name_maps_aliases() {
-        let reg = ApiRegistry::standard();
-        assert_eq!(reg.canonical_name("cnot"), "cx");
-        assert_eq!(reg.canonical_name("h"), "h");
+    fn table_is_strictly_sorted() {
+        for pair in GATES.windows(2) {
+            assert!(
+                pair[0].name < pair[1].name,
+                "{} before {}",
+                pair[0].name,
+                pair[1].name
+            );
+        }
     }
 }

@@ -10,11 +10,10 @@
 //! is either a runnable [`Circuit`] or structured diagnostics whose rendered
 //! form becomes the multi-pass repair prompt.
 
-use crate::api::{adapt_legacy_params, ApiRegistry, Resolution, Version};
+use crate::api::{self, ApiRegistry, Resolution, Version};
 use crate::circuit::{Circuit, CircuitError, Op};
 use crate::diag::{DiagCode, Diagnostic, Severity, Span};
 use crate::dsl::ast::{GateApp, Item, Program, RegKind, Stmt};
-use crate::gate::Gate;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -68,7 +67,7 @@ impl CheckOutcome {
 /// ```
 pub fn compile(source: &str) -> CheckOutcome {
     match crate::dsl::parse(source) {
-        Ok(program) => check(&program, ApiRegistry::shared()),
+        Ok(program) => check(&program, &ApiRegistry::standard()),
         Err(diagnostic) => CheckOutcome {
             circuit: None,
             diagnostics: vec![diagnostic],
@@ -83,7 +82,7 @@ pub fn compile(source: &str) -> CheckOutcome {
 /// Returns the full diagnostic list when any error-severity diagnostic is
 /// produced.
 pub fn lower(program: &Program) -> Result<Circuit, Vec<Diagnostic>> {
-    let outcome = check(program, ApiRegistry::shared());
+    let outcome = check(program, &ApiRegistry::standard());
     match outcome.circuit {
         Some(c) => Ok(c),
         None => Err(outcome.diagnostics),
@@ -510,11 +509,11 @@ impl<'p> Checker<'p> {
             .ok()
     }
 
-    /// Emits one registry gate application, the one path every gate takes:
-    /// evaluates its parameters, resolves its name at the imported version
-    /// (adapting legacy parameter forms), builds the [`Gate`], resolves its
-    /// operands and pushes one op per broadcast position, conditioned when
-    /// `condition` is set.
+    /// Emits one library gate application, the one path every gate takes:
+    /// evaluates its parameters, looks its name up in [`api::GATES`],
+    /// resolves the row at the imported version, builds the [`Gate`] from
+    /// the same row, resolves its operands and pushes one op per broadcast
+    /// position, conditioned when `condition` is set.
     fn emit(
         &mut self,
         app: &GateApp,
@@ -524,22 +523,16 @@ impl<'p> Checker<'p> {
     ) -> Option<()> {
         let params = self.eval_params(app, scope)?;
         let name = app.name.as_str();
-        let version = self.symbols.version.unwrap_or(crate::api::CURRENT);
-        let adapted;
-        let (canon, params) = match self.registry.resolve(name, version) {
-            Resolution::Ok => (name, params.as_slice()),
+        let version = self.symbols.version.unwrap_or(api::CURRENT);
+        let row = api::lookup(name);
+        let deprecated = match row.map_or(Resolution::Unknown, |row| row.resolve(version)) {
+            Resolution::Ok => false,
             Resolution::Deprecated { replacement } => {
                 let msg = format!("`{name}` is deprecated since qasmlite 2.0");
                 let diag = Diagnostic::warning(DiagCode::DeprecatedSymbol, msg, app.span);
                 self.diags
                     .push(diag.with_hint(replacement_hint(replacement)));
-                let Some((canon, legacy)) = adapt_legacy_params(name, &params) else {
-                    let msg = format!("wrong number of parameters for `{name}`");
-                    self.error(DiagCode::ParamCountMismatch, msg, app.span);
-                    return None;
-                };
-                adapted = legacy;
-                (canon, adapted.as_slice())
+                true
             }
             Resolution::Removed { replacement } => {
                 let msg = format!("`{name}` was removed in qasmlite 2.1");
@@ -563,15 +556,16 @@ impl<'p> Checker<'p> {
                 return None;
             }
         };
-        let Some(gate) = Gate::from_name(canon, params) else {
-            // The name is in the registry, but the parameter count is wrong.
+        // An unknown name has returned above, so the row is there.
+        let row = row?;
+        let Some(gate) = row.build(&params) else {
             let msg = match scope {
-                Scope::Top => format!(
-                    "`{canon}` takes {} parameter(s), {} given",
-                    Gate::param_count(canon).unwrap_or(0),
+                Scope::Top if !deprecated => format!(
+                    "`{name}` takes {} parameter(s), {} given",
+                    row.params,
                     params.len()
                 ),
-                Scope::Body { .. } => format!("wrong number of parameters for `{canon}`"),
+                _ => format!("wrong number of parameters for `{name}`"),
             };
             self.error(DiagCode::ParamCountMismatch, msg, app.span);
             return None;
@@ -595,7 +589,8 @@ impl<'p> Checker<'p> {
                 Scope::Top => String::new(),
                 Scope::Body { gate, .. } => format!("in gate `{gate}`: "),
             };
-            let msg = format!("{within}`{canon}` expects {arity} operand(s), {given} given");
+            let name = gate.name();
+            let msg = format!("{within}`{name}` expects {arity} operand(s), {given} given");
             self.error(DiagCode::ArityMismatch, msg, app.span);
             return None;
         }
@@ -694,6 +689,42 @@ mod tests {
         assert!(out.warnings().any(|d| d.code == DiagCode::DeprecatedSymbol));
         let c = out.circuit.unwrap();
         assert_eq!(c.count_gate("cx"), 1);
+    }
+
+    #[test]
+    fn legacy_names_lower_like_their_canonical_spelling_under_1_x() {
+        // (legacy spelling, canonical spelling) of one application.
+        let cases = [
+            ("cnot q[0], q[1]", "cx q[0], q[1]"),
+            ("toffoli q[0], q[1], q[2]", "ccx q[0], q[1], q[2]"),
+            ("u1(0.3) q[1]", "p(0.3) q[1]"),
+            ("u2(0.3, -1.1) q[2]", "u(pi / 2, 0.3, -1.1) q[2]"),
+            ("u3(0.3, -1.1, 2) q[0]", "u(0.3, -1.1, 2) q[0]"),
+            ("iden q[1]", "id q[1]"),
+        ];
+        let legacy_rows = api::GATES.iter().filter(|row| row.replacement.is_some());
+        assert_eq!(legacy_rows.count(), cases.len(), "one case per legacy row");
+        let program = |version: &str, app: &str| {
+            check_src(&format!(
+                "import qasmlite {version};\nqreg q[3];\ncreg c[3];\nh q;\n{app};\nmeasure q -> c;\n"
+            ))
+        };
+        for (legacy, canonical) in cases {
+            let expected = program("2.1", canonical);
+            assert!(expected.diagnostics.is_empty(), "{canonical}");
+            for version in ["1.0", "1.1"] {
+                let out = program(version, legacy);
+                assert!(out.diagnostics.is_empty(), "{legacy} at {version}");
+                assert_eq!(out.circuit, expected.circuit, "{legacy} at {version}");
+            }
+            let deprecated = program("2.0", legacy);
+            assert_eq!(deprecated.circuit, expected.circuit, "{legacy} at 2.0");
+            assert!(deprecated
+                .warnings()
+                .any(|d| d.code == DiagCode::DeprecatedSymbol));
+            let removed = program("2.1", legacy);
+            assert!(removed.errors().any(|d| d.code == DiagCode::RemovedSymbol));
+        }
     }
 
     #[test]

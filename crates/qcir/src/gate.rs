@@ -137,19 +137,13 @@ impl Gate {
         }
     }
 
-    /// Constructs a gate from a canonical name and parameter list.
+    /// Constructs a gate from a library name ([`crate::api::GATES`]) and
+    /// parameter list, whatever the name's lifecycle: a legacy name builds
+    /// its replacement's gate.
     ///
-    /// Returns `None` for unknown names or wrong parameter counts; callers in
-    /// the checker convert that into a diagnostic rather than a panic.
+    /// Returns `None` for unknown names or wrong parameter counts.
     pub fn from_name(name: &str, params: &[f64]) -> Option<Gate> {
-        let (count, build) = by_name(name)?;
-        (params.len() == count).then(|| build(params))
-    }
-
-    /// How many parameters the gate with canonical name `name` takes, or
-    /// `None` for an unknown name.
-    pub(crate) fn param_count(name: &str) -> Option<usize> {
-        by_name(name).map(|(count, _)| count)
+        crate::api::lookup(name)?.build(params)
     }
 
     /// The inverse gate.
@@ -335,10 +329,6 @@ pub enum GateKind {
     DoublyControlledFlipX,
     /// Fredkin: exchanges operands 1 and 2 when operand 0 is set.
     ControlledSwap,
-    /// No exploitable structure; simulators should fall back to the dense
-    /// [`Gate::matrix`] path. Unused by the built-in gate set but kept so
-    /// downstream matches stay total when gates are added.
-    General,
 }
 
 /// Test-only instrumentation counting [`Gate::kind`] calls (debug builds
@@ -485,44 +475,6 @@ fn controlled(u: &Matrix) -> Matrix {
     m
 }
 
-/// Builds a gate from exactly its parameter count of parameters.
-type Build = fn(&[f64]) -> Gate;
-
-/// The gate name table: each canonical name with its parameter count and
-/// its constructor.
-fn by_name(name: &str) -> Option<(usize, Build)> {
-    use Gate::*;
-    Some(match name {
-        "id" => (0, |_| Id),
-        "h" => (0, |_| H),
-        "x" => (0, |_| X),
-        "y" => (0, |_| Y),
-        "z" => (0, |_| Z),
-        "s" => (0, |_| S),
-        "sdg" => (0, |_| Sdg),
-        "t" => (0, |_| T),
-        "tdg" => (0, |_| Tdg),
-        "sx" => (0, |_| SX),
-        "rx" => (1, |p| RX(p[0])),
-        "ry" => (1, |p| RY(p[0])),
-        "rz" => (1, |p| RZ(p[0])),
-        "p" => (1, |p| P(p[0])),
-        "u" => (3, |p| U(p[0], p[1], p[2])),
-        "cx" => (0, |_| CX),
-        "cy" => (0, |_| CY),
-        "cz" => (0, |_| CZ),
-        "ch" => (0, |_| CH),
-        "swap" => (0, |_| SWAP),
-        "crx" => (1, |p| CRX(p[0])),
-        "cry" => (1, |p| CRY(p[0])),
-        "crz" => (1, |p| CRZ(p[0])),
-        "cp" => (1, |p| CP(p[0])),
-        "ccx" => (0, |_| CCX),
-        "cswap" => (0, |_| CSWAP),
-        _ => return None,
-    })
-}
-
 impl fmt::Display for Gate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let params = self.params();
@@ -610,11 +562,18 @@ mod tests {
         ]);
         for g in gates {
             assert_eq!(Gate::from_name(g.name(), &g.params()), Some(g));
-            assert_eq!(Gate::param_count(g.name()), Some(g.num_params()));
         }
         assert_eq!(Gate::from_name("rz", &[]), None);
         assert_eq!(Gate::from_name("nope", &[]), None);
-        assert_eq!(Gate::param_count("nope"), None);
+        // Every library row builds a gate named by the row, or by the row's
+        // replacement for a legacy name.
+        for row in &crate::api::GATES {
+            let gate = row.build(&[0.3, 1.1, -0.9][..row.params]).unwrap();
+            assert_eq!(gate.name(), row.replacement.unwrap_or(row.name));
+            if row.replacement.is_none() {
+                assert_eq!(gate.num_params(), row.params, "{}", row.name);
+            }
+        }
     }
 
     #[test]
@@ -657,10 +616,9 @@ mod tests {
             GateKind::ControlledDiagonal1 { d0, d1 } => embed_controlled([d0, z, z, d1]),
             GateKind::ControlledFlipX => embed_controlled([z, o, o, z]),
             GateKind::ControlledDense1 { m } => embed_controlled(m),
-            GateKind::Swap
-            | GateKind::DoublyControlledFlipX
-            | GateKind::ControlledSwap
-            | GateKind::General => gate.matrix(),
+            GateKind::Swap | GateKind::DoublyControlledFlipX | GateKind::ControlledSwap => {
+                gate.matrix()
+            }
         }
     }
 

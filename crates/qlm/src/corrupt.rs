@@ -157,6 +157,13 @@ impl ChannelRates {
     }
 }
 
+/// The older releases [`Channel::StaleImport`] pins a program to.
+const STALE_VERSIONS: [&str; 3] = ["1.0", "1.1", "2.0"];
+
+/// The `(modern, legacy)` spellings [`Channel::DeprecatedApi`] swaps, each
+/// with the token that follows the gate name.
+const LEGACY_SPELLINGS: [(&str, &str); 3] = [("cx ", "cnot "), ("ccx ", "toffoli "), ("p(", "u1(")];
+
 /// Applies one channel's source-level mutation.
 ///
 /// Operators are deliberately "realistic": they produce the same textual
@@ -170,13 +177,13 @@ pub fn apply(channel: Channel, source: &str, rng: &mut impl Rng) -> String {
             .map(|l| format!("{l}\n"))
             .collect(),
         Channel::StaleImport => {
-            let stale = ["1.0", "1.1", "2.0"][rng.gen_range(0..3)];
+            let stale = STALE_VERSIONS[rng.gen_range(0..STALE_VERSIONS.len())];
             source.replace("import qasmlite 2.1;", &format!("import qasmlite {stale};"))
         }
         Channel::DeprecatedApi => {
             // Substitute legacy aliases for modern names, token-wise.
             let mut out = source.to_string();
-            for (new, old) in [("cx ", "cnot "), ("ccx ", "toffoli "), ("p(", "u1(")] {
+            for (new, old) in LEGACY_SPELLINGS {
                 if rng.gen_bool(0.8) {
                     out = out.replace(&format!("\n{new}"), &format!("\n{old}"));
                     // Also at line starts after statements on same line form.
@@ -282,6 +289,19 @@ mod tests {
         let out = apply(Channel::ImportOmission, SAMPLE, &mut rng());
         assert!(!out.contains("import"));
         assert!(out.contains("qreg"));
+    }
+
+    #[test]
+    fn substitutions_match_the_library_table() {
+        for (new, old) in LEGACY_SPELLINGS {
+            let token = |s: &'static str| s.trim_end_matches([' ', '(']);
+            let row = qcir::api::lookup(token(old)).expect("legacy name is in the library");
+            assert_eq!(row.replacement, Some(token(new)), "`{}`", row.name);
+        }
+        for stale in STALE_VERSIONS {
+            let version: qcir::api::Version = stale.parse().unwrap();
+            assert!(qcir::api::RELEASES.contains(&version), "{stale}");
+        }
     }
 
     #[test]

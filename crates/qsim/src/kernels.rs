@@ -12,19 +12,21 @@
 //! * **Butterfly tier** ([`apply_1q`], [`apply_controlled_1q`],
 //!   [`apply_y`]) — closed-form 2x2 updates over index pairs, no matrix
 //!   lookup in the inner loop.
-//! * **General tier** ([`apply_dense`]) — arbitrary `2^k x 2^k` unitaries
-//!   with the scatter-index table hoisted out of the row loop and all
-//!   scratch storage reused across calls through [`DenseScratch`].
+//! * **Superblock tier** ([`apply_dense2`], [`apply_dense3`]) — the 4x4 and
+//!   8x8 blocks the plan's fusion pass builds, each applied in one sweep.
 //!
-//! [`crate::state::StateVector::apply_gate`] picks the tier from
-//! [`qcir::gate::Gate::kind`]; these functions are also public so other hot
-//! paths (noise injection, observables) can call them directly.
+//! Every built-in gate falls in the first three tiers, so there is no
+//! general `2^k x 2^k` kernel. [`crate::plan::lower`] picks a gate's tier
+//! from [`qcir::gate::Gate::kind`], and the full-scan
+//! [`crate::state::StateVector::apply_matrix_reference`] stays only as the
+//! test oracle. These functions are also public so other hot paths (noise
+//! injection, observables) can call them directly.
 //!
 //! All kernels require the bit positions to be in range for the amplitude
 //! slice (whose length must be a power of two) and mutually distinct; the
 //! state-vector wrapper validates once per gate application.
 
-use qcir::math::{Matrix, C64};
+use qcir::math::C64;
 use qugen_telemetry::metrics::{self, Counter};
 use std::sync::OnceLock;
 
@@ -599,79 +601,6 @@ pub fn axpy(dst: &mut [C64], src: &[C64], scale: C64) {
     }
 }
 
-/// Reusable scratch storage for [`apply_dense`], held by the state vector so
-/// repeated gate applications allocate nothing after the buffers first grow
-/// to the needed size.
-#[derive(Debug, Clone, Default)]
-pub struct DenseScratch {
-    /// Gathered amplitude block (`2^k` entries).
-    amps: Vec<C64>,
-    /// Per-row scatter offsets (`2^k` entries), hoisted out of the base loop.
-    offsets: Vec<usize>,
-    /// Target bit positions in ascending order, for stride expansion.
-    bits: Vec<usize>,
-}
-
-/// Applies an arbitrary `2^k x 2^k` unitary to `qubits` (big-endian:
-/// `qubits[0]` is the most significant matrix bit).
-///
-/// The scatter-index table is computed once per call — not once per base
-/// index as the naive formulation does — and base indices are enumerated
-/// directly by stride expansion, so the cost is `O(2^n * 2^k)` complex
-/// multiply-adds with no per-row bit fiddling.
-///
-/// # Panics
-///
-/// Panics when the matrix dimension is not `2^k` for `k = qubits.len()`.
-pub fn apply_dense(
-    amps: &mut [C64],
-    matrix: &Matrix,
-    qubits: &[usize],
-    scratch: &mut DenseScratch,
-) {
-    let k = qubits.len();
-    let dim = 1usize << k;
-    assert_eq!(matrix.dim(), dim, "matrix dimension mismatch");
-
-    scratch.bits.clear();
-    scratch.bits.extend_from_slice(qubits);
-    scratch.bits.sort_unstable();
-
-    scratch.offsets.clear();
-    for row in 0..dim {
-        let mut off = 0usize;
-        for (j, &q) in qubits.iter().enumerate() {
-            if (row >> (k - 1 - j)) & 1 == 1 {
-                off |= 1 << q;
-            }
-        }
-        scratch.offsets.push(off);
-    }
-
-    scratch.amps.clear();
-    scratch.amps.resize(dim, C64::ZERO);
-
-    for c in 0..amps.len() >> k {
-        let mut base = c;
-        for &b in &scratch.bits {
-            base = insert_zero_bit(base, b);
-        }
-        for (gathered, &off) in scratch.amps.iter_mut().zip(&scratch.offsets) {
-            *gathered = amps[base | off];
-        }
-        for (row, &off) in scratch.offsets.iter().enumerate() {
-            let mut acc = C64::ZERO;
-            for (col, &amp) in scratch.amps.iter().enumerate() {
-                let m = matrix.get(row, col);
-                if m != C64::ZERO {
-                    acc += m * amp;
-                }
-            }
-            amps[base | off] = acc;
-        }
-    }
-}
-
 #[inline(always)]
 fn sort2(a: usize, b: usize) -> (usize, usize) {
     if a < b {
@@ -1185,6 +1114,7 @@ mod simd {
 mod tests {
     use super::*;
     use qcir::gate::Gate;
+    use qcir::math::Matrix;
 
     /// Random-ish but deterministic normalized amplitudes.
     fn test_amps(n: usize) -> Vec<C64> {
@@ -1439,25 +1369,6 @@ mod tests {
             }
             axpy(&mut dst, &src, a);
             assert_close(&dst, &want);
-        }
-    }
-
-    #[test]
-    fn dense_kernel_matches_reference_for_k_up_to_3() {
-        let cases: Vec<(Matrix, Vec<usize>)> = vec![
-            (Gate::H.matrix(), vec![2]),
-            (Gate::CX.matrix(), vec![3, 1]),
-            (Gate::SWAP.matrix(), vec![0, 3]),
-            (Gate::CCX.matrix(), vec![3, 0, 2]),
-            (Gate::CSWAP.matrix(), vec![1, 3, 0]),
-            (Gate::H.matrix().kron(&Gate::SX.matrix()), vec![2, 0]),
-        ];
-        let mut scratch = DenseScratch::default();
-        for (matrix, qubits) in cases {
-            let mut a = test_amps(4);
-            let b = reference(&a, &matrix, &qubits);
-            apply_dense(&mut a, &matrix, &qubits, &mut scratch);
-            assert_close(&a, &b);
         }
     }
 }

@@ -11,8 +11,8 @@
 //!   used for semantic grading and the Deutsch–Jozsa noise experiments.
 //! * [`kernels`] — the specialized gate-application kernels behind
 //!   [`state::StateVector::apply_gate`]: strided base-index enumeration,
-//!   diagonal/permutation fast paths, butterfly single-qubit updates, and a
-//!   scratch-reusing general dense fallback.
+//!   diagonal/permutation fast paths, butterfly single-qubit updates, and
+//!   the fused 4x4/8x8 superblock sweeps.
 //! * [`stabilizer`] — an Aaronson–Gottesman tableau simulator for
 //!   Clifford circuits, stored column-major and bit-packed so gates are
 //!   word-parallel, used for surface-code syndrome extraction at

@@ -253,14 +253,6 @@ pub enum PlannedOp {
         /// Second exchanged qubit.
         b: usize,
     },
-    /// Totality fallback for [`GateKind::General`]: a precomputed dense
-    /// matrix applied through the general scatter/gather kernel.
-    DenseK {
-        /// Gate operands (big-endian: first is the matrix MSB).
-        qubits: Vec<usize>,
-        /// The gate's dense unitary.
-        matrix: qcir::math::Matrix,
-    },
     /// Computational-basis measurement into a classical bit.
     Measure {
         /// Measured qubit.
@@ -608,7 +600,6 @@ impl PlannedOp {
     /// through trajectory logic.
     pub fn apply(&self, sv: &mut StateVector) {
         match self {
-            PlannedOp::DenseK { qubits, matrix } => sv.apply_matrix(matrix, qubits),
             PlannedOp::Diag1 { qubit, d } => {
                 kernels::apply_diag1(sv.amps_mut(), *qubit, d[0], d[1]);
             }
@@ -708,10 +699,6 @@ pub fn lower(gate: Gate, qubits: &[usize]) -> Option<PlannedOp> {
             a: qubits[1],
             b: qubits[2],
         },
-        GateKind::General => PlannedOp::DenseK {
-            qubits: qubits.to_vec(),
-            matrix: gate.matrix(),
-        },
     })
 }
 
@@ -793,11 +780,10 @@ impl Fuser {
                 self.push_2q(qubits[0], qubits[1], g);
             }
             // Toffoli/Fredkin compose onto a pending triple on exactly their
-            // operands; otherwise they, like general gates, are flush
-            // barriers emitted unfused.
+            // operands; otherwise they are flush barriers emitted unfused.
             GateKind::DoublyControlledFlipX if self.compose_perm3(qubits, ccx8) => {}
             GateKind::ControlledSwap if self.compose_perm3(qubits, cswap8) => {}
-            GateKind::DoublyControlledFlipX | GateKind::ControlledSwap | GateKind::General => {
+            GateKind::DoublyControlledFlipX | GateKind::ControlledSwap => {
                 self.flush_qubits(qubits);
                 self.emitted.extend(lower(gate, qubits));
             }
@@ -1615,7 +1601,6 @@ pub fn shared_cache() -> Arc<Mutex<PlanCache>> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use qcir::math::Matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -2122,18 +2107,5 @@ pub(crate) mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn general_fallback_is_total() {
-        // No built-in gate classifies as General, but the solo path and the
-        // DenseK op must still execute one if a future gate does.
-        let op = PlannedOp::DenseK {
-            qubits: vec![0],
-            matrix: Matrix::identity(2),
-        };
-        let mut sv = StateVector::zero(1);
-        op.apply(&mut sv);
-        assert!((sv.norm_sqr() - 1.0).abs() < 1e-12);
     }
 }

@@ -11,7 +11,7 @@
 //! formulation is kept as [`StateVector::apply_matrix_reference`] and serves
 //! as the correctness oracle in tests and benches.
 
-use crate::kernels::{self, DenseScratch};
+use crate::kernels;
 use crate::noise::Pauli;
 use qcir::gate::Gate;
 use qcir::math::{Matrix, C64};
@@ -30,19 +30,10 @@ use rand::Rng;
 /// assert!((probs[0b00] - 0.5).abs() < 1e-12);
 /// assert!((probs[0b11] - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateVector {
     num_qubits: usize,
     amps: Vec<C64>,
-    /// Reusable buffers for the general dense path; grown on first use and
-    /// never reallocated afterwards. Excluded from equality.
-    scratch: DenseScratch,
-}
-
-impl PartialEq for StateVector {
-    fn eq(&self, other: &Self) -> bool {
-        self.num_qubits == other.num_qubits && self.amps == other.amps
-    }
 }
 
 impl StateVector {
@@ -60,11 +51,7 @@ impl StateVector {
         );
         let mut amps = vec![C64::ZERO; 1 << num_qubits];
         amps[0] = C64::ONE;
-        StateVector {
-            num_qubits,
-            amps,
-            scratch: DenseScratch::default(),
-        }
+        StateVector { num_qubits, amps }
     }
 
     /// Builds a state from an explicit amplitude vector, normalizing it.
@@ -90,11 +77,7 @@ impl StateVector {
         for a in &mut amps {
             *a = *a * scale;
         }
-        StateVector {
-            num_qubits,
-            amps,
-            scratch: DenseScratch::default(),
-        }
+        StateVector { num_qubits, amps }
     }
 
     /// Resets the state to |0…0> in place, reusing the allocation (the
@@ -166,22 +149,6 @@ impl StateVector {
             Pauli::Y => kernels::apply_y(&mut self.amps, qubit),
             Pauli::Z => kernels::apply_diag1(&mut self.amps, qubit, C64::ONE, -C64::ONE),
         }
-    }
-
-    /// Applies an arbitrary `2^k x 2^k` unitary to `k` qubits.
-    ///
-    /// The matrix convention is big-endian over `qubits`: `qubits[0]` is the
-    /// most significant bit of the matrix row/column index. Uses the general
-    /// kernel ([`crate::kernels::apply_dense`]) with scratch buffers reused
-    /// across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch, out-of-range or duplicate qubits.
-    pub fn apply_matrix(&mut self, matrix: &Matrix, qubits: &[usize]) {
-        assert_eq!(matrix.dim(), 1 << qubits.len(), "matrix dimension mismatch");
-        self.check_operands(qubits);
-        kernels::apply_dense(&mut self.amps, matrix, qubits, &mut self.scratch);
     }
 
     /// The original full-scan dense implementation, kept verbatim as the
@@ -558,18 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn apply_matrix_is_big_endian_over_operands() {
+    fn apply_matrix_reference_is_big_endian_over_operands() {
         // X ⊗ I applied to qubits [0, 1]: operand 0 is the matrix MSB, so
         // the X must act on qubit 0 (bit 0 of the little-endian state index).
         let x = Gate::X.matrix();
         let id = qcir::math::Matrix::identity(2);
         let xi = x.kron(&id);
         let mut sv = StateVector::zero(2);
-        sv.apply_matrix(&xi, &[0, 1]);
+        sv.apply_matrix_reference(&xi, &[0, 1]);
         assert!(sv.amplitudes()[0b01].approx_eq(C64::ONE, 1e-12));
         // Same matrix on reversed operands flips qubit 1 instead.
         let mut sv = StateVector::zero(2);
-        sv.apply_matrix(&xi, &[1, 0]);
+        sv.apply_matrix_reference(&xi, &[1, 0]);
         assert!(sv.amplitudes()[0b10].approx_eq(C64::ONE, 1e-12));
     }
 

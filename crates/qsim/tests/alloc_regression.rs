@@ -2,9 +2,8 @@
 //! allocations once warm, via a counting global allocator.
 //!
 //! * Dense gate application: the specialized kernels never allocate (gate
-//!   classification returns matrix entries inline), and the general dense
-//!   path reuses scratch buffers held by the `StateVector` once they have
-//!   grown to size.
+//!   classification returns matrix entries inline), and neither does
+//!   Pauli injection.
 //! * Tableau shots: `StabilizerSim::run_circuit_into` keeps its measurement
 //!   scratch in the tableau, so a warm distance-5 surface-code memory shot
 //!   (49 qubits, 121 measurements and resets) allocates nothing.
@@ -21,7 +20,6 @@
 
 use qcir::circuit::Op;
 use qcir::gate::Gate;
-use qcir::math::Matrix;
 use qec::SurfaceCode;
 use qsim::dist::Counts;
 use qsim::frame::FrameProgram;
@@ -112,15 +110,12 @@ fn apply_gate_allocates_nothing_after_first_call() {
         (Gate::CCX, vec![0, 4, 8]),
         (Gate::CSWAP, vec![7, 1, 5]),
     ];
-    let matrix: Matrix = Gate::H.matrix().kron(&Gate::SX.matrix());
-    let matrix_qubits = [2usize, 6];
 
     let mut sv = StateVector::zero(n);
-    // Warm up: first calls may grow the dense-path scratch buffers.
+    // Warm up once before counting.
     for (g, qs) in &gates {
         sv.apply_gate(*g, qs);
     }
-    sv.apply_matrix(&matrix, &matrix_qubits);
     sv.apply_pauli(0, Pauli::X);
     sv.apply_pauli(1, Pauli::Y);
     sv.apply_pauli(2, Pauli::Z);
@@ -130,7 +125,6 @@ fn apply_gate_allocates_nothing_after_first_call() {
             for (g, qs) in &gates {
                 sv.apply_gate(*g, qs);
             }
-            sv.apply_matrix(&matrix, &matrix_qubits);
             sv.apply_pauli(0, Pauli::X);
             sv.apply_pauli(1, Pauli::Y);
             sv.apply_pauli(2, Pauli::Z);

@@ -105,32 +105,6 @@ proptest! {
         }
     }
 
-    /// `apply_matrix` (general kernel) agrees with the reference on dense
-    /// multi-qubit matrices built from gate products.
-    #[test]
-    fn general_kernel_agrees_with_dense_reference(
-        g1 in arb_gate(),
-        g2 in arb_gate(),
-        amps in arb_amps(),
-        raw_ops in arb_operands(),
-    ) {
-        prop_assume!(g1.num_qubits() == 1 && g2.num_qubits() == 1);
-        let norm_sqr: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        prop_assume!(norm_sqr > 1e-6);
-        let matrix = g1.matrix().kron(&g2.matrix());
-        let qubits = distinct_operands(&raw_ops, 2);
-
-        let mut fast = StateVector::from_amplitudes(amps.clone());
-        fast.apply_matrix(&matrix, &qubits);
-
-        let mut oracle = StateVector::from_amplitudes(amps);
-        oracle.apply_matrix_reference(&matrix, &qubits);
-
-        for (a, b) in fast.amplitudes().iter().zip(oracle.amplitudes()) {
-            prop_assert!(a.approx_eq(*b, 1e-12), "{a} vs {b}");
-        }
-    }
-
     /// The `Dense3` superblock kernel agrees with the dense reference for
     /// arbitrary (possibly sparse) 8x8 products of single-qubit factors on
     /// every sorted qubit triple — covering both AVX2 variants (`q0 == 0`
