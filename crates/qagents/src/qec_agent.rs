@@ -217,9 +217,7 @@ mod tests {
 
     #[test]
     fn compare_surfaces_sim_errors_instead_of_panicking() {
-        // Non-Clifford AND long-range past the dense cap: no admissible
-        // backend (short-range general circuits dispatch to the MPS
-        // engine instead).
+        // Non-Clifford past the dense cap: no admissible backend.
         let mut big = Circuit::new(30, 30);
         big.h(0).t(0).cp(0.4, 0, 29).measure_all();
         let agent = QecAgent::new(Topology::grid(7, 7), 0.02);

@@ -38,45 +38,28 @@ pub const GRADING_SEED: u64 = 0xE7A1;
 /// arbitrary generated code, exactly like the pre-backend-layer 22-qubit
 /// guard. Clifford circuits are exempt — they grade on the tableau backend
 /// with classical registers of any width (outcomes are multi-word, so even
-/// distance-7 surface-code tasks with 97+ classical bits are gradeable) —
-/// and so are short-range general circuits, which grade on the MPS backend.
+/// distance-7 surface-code tasks with 97+ classical bits are gradeable).
 pub const GRADING_DENSE_QUBIT_CAP: usize = 22;
 
-/// Picks the grading backend for `circuit` — the cap is three-way
+/// Checks that the grading executors can simulate `circuit`. The rule is
 /// class-aware:
 ///
 /// * Clifford circuits grade through auto dispatch (dense when small,
-///   tableau when large), with no classical-register width limit;
+///   tableau when large), checked against the tableau's limits, with no
+///   classical-register width limit;
 /// * general circuits at or under [`GRADING_DENSE_QUBIT_CAP`] qubits grade
-///   through auto dispatch on the dense engine;
-/// * general circuits above the cap whose multi-qubit gates stay within
-///   [`qsim::backend::AUTO_MPS_MAX_RANGE`] sites grade on the MPS backend
-///   at [`qsim::backend::MPS_DEFAULT_MAX_BOND`] (with the executor's
-///   truncation budget guarding fidelity), so a refusal there reports the
-///   MPS engine's own cap ([`qsim::backend::MPS_QUBIT_CAP`]) — the limit
-///   actually in force — not the dense grading guard;
-/// * long-range general circuits over the dense cap are refused with the
-///   grading-guard [`SimError::QubitCapExceeded`].
+///   through auto dispatch on the dense engine, checked against its limits;
+/// * general circuits over the cap are refused with the grading-guard
+///   [`SimError::QubitCapExceeded`].
 ///
 /// # Errors
 ///
 /// The [`SimError`] of the first refusing rule.
-pub fn grading_backend(circuit: &Circuit) -> Result<BackendChoice, SimError> {
+pub fn grading_preflight(circuit: &Circuit) -> Result<(), SimError> {
     if circuit.is_clifford() {
-        backend::resolve(BackendChoice::Tableau, circuit)?;
-        Ok(BackendChoice::Auto)
+        backend::resolve(BackendChoice::Tableau, circuit).map(|_| ())
     } else if circuit.num_qubits() <= GRADING_DENSE_QUBIT_CAP {
-        backend::resolve(BackendChoice::Dense, circuit)?;
-        Ok(BackendChoice::Auto)
-    } else if backend::interaction_range(circuit) <= backend::AUTO_MPS_MAX_RANGE {
-        // Short-range general circuit: MPS-eligible, and past
-        // MPS_QUBIT_CAP `resolve` reports the MPS cap (1024) rather than
-        // the misleading 22-qubit dense guard.
-        let choice = BackendChoice::Mps {
-            max_bond: backend::MPS_DEFAULT_MAX_BOND,
-        };
-        backend::resolve(choice, circuit)?;
-        Ok(choice)
+        backend::resolve(BackendChoice::Dense, circuit).map(|_| ())
     } else {
         Err(SimError::QubitCapExceeded {
             backend: "dense (grading guard)",
@@ -84,16 +67,6 @@ pub fn grading_backend(circuit: &Circuit) -> Result<BackendChoice, SimError> {
             cap: GRADING_DENSE_QUBIT_CAP,
         })
     }
-}
-
-/// Checks that the grading executors can simulate `circuit` (the
-/// validation half of [`grading_backend`]).
-///
-/// # Errors
-///
-/// The [`SimError`] the responsible backend reports.
-pub fn grading_preflight(circuit: &Circuit) -> Result<(), SimError> {
-    grading_backend(circuit).map(|_| ())
 }
 
 /// Grading outcome detail.
@@ -153,14 +126,13 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
     {
         return GradeDetail::unmeasured(true, diagnostics);
     }
-    let (Ok(choice_c), Ok(choice_r)) = (grading_backend(&circuit), grading_backend(&reference))
-    else {
-        // No admissible backend (absurd general register sizes, long-range
-        // entanglers over the cap, …): grade as semantically wrong rather
-        // than attempting to simulate. Clifford circuits sail through at
-        // any classical-register width.
+    if grading_preflight(&circuit).is_err() || grading_preflight(&reference).is_err() {
+        // No admissible backend (general circuits over the grading guard,
+        // absurd sizes, …): grade as semantically wrong rather than
+        // attempting to simulate. Clifford circuits sail through at any
+        // classical-register width.
         return GradeDetail::unmeasured(true, diagnostics);
-    };
+    }
 
     // The exact branch recomputes its distributions on every grade (they
     // are cheap, and circuit lowering is amortized by the process-wide
@@ -176,9 +148,8 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         let reference = Executor::ideal_distribution(&reference, GRADING_SEED);
         (candidate.tvd(&reference), TVD_TOLERANCE_EXACT)
     } else {
-        // Sampled path: [`grading_backend`] routes each circuit to its
-        // class's engine (tableau for large Clifford, MPS for short-range
-        // large general circuits), and each job pins that backend.
+        // Sampled path: auto dispatch routes each circuit to its class's
+        // engine (tableau for large Clifford circuits, dense otherwise).
         let shots = if small {
             GRADING_SHOTS
         } else {
@@ -186,14 +157,11 @@ pub fn grade_source_with_threads(source: &str, spec: &TaskSpec, sim_threads: usi
         };
         let exec = ExecutorConfig::new().threads(sim_threads.max(1)).build();
         let jobs = [
-            JobSpec::new(circuit, shots, GRADING_SEED).with_backend(choice_c),
-            JobSpec::new(reference, shots, GRADING_SEED ^ 0x5555).with_backend(choice_r),
+            JobSpec::new(circuit, shots, GRADING_SEED),
+            JobSpec::new(reference, shots, GRADING_SEED ^ 0x5555),
         ];
         let Some(dists) = sampled_distributions(&exec, &jobs) else {
-            // A run-time refusal (e.g. the MPS truncation budget tripping
-            // on a candidate that entangles far more than its class
-            // suggested): grade as semantically wrong, never trust
-            // low-fidelity counts.
+            // A run-time refusal: grade as semantically wrong.
             return GradeDetail::unmeasured(true, diagnostics);
         };
         (dists[0].tvd(&dists[1]), TVD_TOLERANCE_SAMPLED)
@@ -216,7 +184,7 @@ fn sampled_distributions(exec: &Executor, jobs: &[JobSpec]) -> Option<Vec<Arc<Di
     let cache = qsim::plan::shared_cache();
     let keys: Vec<JobKey> = jobs
         .iter()
-        .map(|job| job.key(exec.config().backend, exec.config().truncation_budget))
+        .map(|job| job.key(exec.config().backend))
         .collect();
     let mut found: Vec<_> = {
         let mut cache = lock(&cache);
@@ -349,8 +317,7 @@ mod tests {
     #[test]
     fn large_longrange_general_circuit_still_refused() {
         // A non-Clifford 25-qubit program with a long-range entangler trips
-        // the grading guard (not even MPS-eligible) and fails semantically
-        // without being simulated.
+        // the grading guard and fails semantically without being simulated.
         let mut src =
             String::from("import qasmlite 2.1;\nqreg q[25];\ncreg c[25];\nh q[0];\nt q[0];\n");
         src.push_str("cp(0.4) q[0], q[24];\nmeasure q -> c;\n");
@@ -361,11 +328,10 @@ mod tests {
     }
 
     #[test]
-    fn large_shortrange_general_circuit_grades_on_mps() {
-        // 25 non-Clifford qubits with nearest-neighbor gates only: over the
-        // dense grading cap, but the three-way class-aware cap routes it to
-        // the MPS backend and it actually simulates (here against the wrong
-        // reference, so it fails with a *measured* TVD, not a refusal).
+    fn large_shortrange_general_circuit_is_refused_unmeasured() {
+        // 25 non-Clifford qubits with single-qubit gates only: over the
+        // dense grading cap, so the grading guard refuses it however short
+        // its interactions, and it fails without a measured TVD.
         let mut src = String::from("import qasmlite 2.1;\nqreg q[25];\ncreg c[25];\n");
         for q in 0..25 {
             src.push_str(&format!("h q[{q}];\nt q[{q}];\n"));
@@ -374,7 +340,7 @@ mod tests {
         let detail = grade_source(&src, &TaskSpec::Ghz { n: 25 });
         assert!(detail.syntactic_ok);
         assert!(!detail.semantic_ok);
-        assert!(detail.tvd.expect("simulated via MPS") > 0.5);
+        assert_eq!(detail.tvd, None);
     }
 
     #[test]
@@ -382,16 +348,18 @@ mod tests {
         let mut clifford_big = Circuit::new(49, 49);
         clifford_big.h(0);
         assert!(grading_preflight(&clifford_big).is_ok());
-        // Short-range general circuits over the dense cap are MPS-eligible…
+        // General circuits over the dense grading cap are refused by the
+        // grading guard, short-range or long-range alike.
         let mut general_big = Circuit::new(25, 25);
         general_big.t(0);
         assert_eq!(
-            grading_backend(&general_big),
-            Ok(qsim::backend::BackendChoice::Mps {
-                max_bond: qsim::backend::MPS_DEFAULT_MAX_BOND
+            grading_preflight(&general_big),
+            Err(SimError::QubitCapExceeded {
+                backend: "dense (grading guard)",
+                num_qubits: 25,
+                cap: GRADING_DENSE_QUBIT_CAP,
             })
         );
-        // …long-range ones are refused by the grading guard.
         let mut general_wide = Circuit::new(25, 25);
         general_wide.t(0).cp(0.3, 0, 24);
         assert!(matches!(
@@ -405,18 +373,17 @@ mod tests {
         // circuit (the distance-7 memory shape) preflights clean.
         let wide = Circuit::new(2, 97);
         assert!(grading_preflight(&wide).is_ok());
-        // A short-range general circuit past MPS_QUBIT_CAP reports the MPS
-        // engine's cap (1024), not the 22-qubit dense grading guard.
-        let mut huge = Circuit::new(qsim::backend::MPS_QUBIT_CAP + 1, 0);
+        // A huge general circuit gets the same grading-guard refusal.
+        let mut huge = Circuit::new(1025, 0);
         huge.t(0);
-        assert!(matches!(
+        assert_eq!(
             grading_preflight(&huge),
             Err(SimError::QubitCapExceeded {
-                backend: "mps",
-                cap: qsim::backend::MPS_QUBIT_CAP,
-                ..
+                backend: "dense (grading guard)",
+                num_qubits: 1025,
+                cap: GRADING_DENSE_QUBIT_CAP,
             })
-        ));
+        );
     }
 
     #[test]

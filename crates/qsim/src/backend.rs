@@ -1,23 +1,18 @@
 //! Backend dispatch: which engine runs a circuit.
 //!
 //! Every way of executing a circuit in this workspace goes through one of
-//! three engines: the dense state vector ([`crate::state::StateVector`],
-//! exponential in qubit count, exact for arbitrary gates), the
+//! two engines: the dense state vector ([`crate::state::StateVector`],
+//! exponential in qubit count, exact for arbitrary gates) or the
 //! Aaronson–Gottesman tableau ([`crate::stabilizer::StabilizerSim`],
-//! polynomial, Clifford-only), or the matrix-product state
-//! ([`crate::mps::MpsState`], polynomial in qubits at fixed bond dimension
-//! χ, arbitrary gates but approximate once entanglement exceeds χ). The
-//! executor drives them directly ([`crate::exec`]); this module picks one:
+//! polynomial, Clifford-only). The executor drives them directly
+//! ([`crate::exec`]); this module picks one:
 //!
-//! * [`Circuit::is_clifford`] decides tableau eligibility, and
-//!   [`interaction_range`] measures how far apart multi-qubit gates reach,
-//!   the locality signal the MPS heuristic keys on.
+//! * [`Circuit::is_clifford`] decides tableau eligibility.
 //! * [`BackendChoice`] — the caller-facing selector: [`BackendChoice::Auto`]
 //!   (the default) picks the tableau for Clifford circuits too large for a
-//!   comfortable dense run, the MPS engine for over-cap general circuits
-//!   with short-range interactions, and the dense engine otherwise;
-//!   `Dense`, `Tableau` and `Mps` force an engine and fail loudly when it
-//!   cannot run the circuit.
+//!   comfortable dense run and the dense engine otherwise; `Dense` and
+//!   `Tableau` force an engine and fail loudly when it cannot run the
+//!   circuit.
 //! * [`resolve`] — the dispatch rule itself, returning a [`BackendKind`] or
 //!   a typed [`SimError`] instead of panicking at a capacity cap.
 //!
@@ -28,13 +23,10 @@
 //! | Clifford (incl. measure/reset/conditionals) | ≤ [`AUTO_DENSE_MAX_QUBITS`] | dense |
 //! | Clifford | > [`AUTO_DENSE_MAX_QUBITS`] | tableau |
 //! | general | ≤ [`DENSE_QUBIT_CAP`] | dense |
-//! | general, [`interaction_range`] ≤ [`AUTO_MPS_MAX_RANGE`] | > [`DENSE_QUBIT_CAP`] | mps (χ = [`MPS_DEFAULT_MAX_BOND`]) |
-//! | general, long-range | > [`DENSE_QUBIT_CAP`] | [`SimError::QubitCapExceeded`] |
+//! | general | > [`DENSE_QUBIT_CAP`] | [`SimError::QubitCapExceeded`] |
 //!
-//! MPS runs are approximate when the circuit's entanglement exceeds the
-//! bond bound; the accumulated fidelity loss is tracked per run and
-//! surfaces as the typed [`SimError::TruncationBudgetExceeded`] when it
-//! passes the executor's budget — never silently.
+//! Both engines are exact: a circuit either runs with no approximation or
+//! is refused with a typed error.
 //!
 //! Classical registers are unbounded on every engine: outcomes travel as
 //! packed multi-word [`crate::word::OutcomeWord`]s through
@@ -44,9 +36,8 @@
 //! the error variant are gone.)
 //!
 //! Pauli noise channels ([`crate::noise::NoiseModel`]) are
-//! backend-agnostic: every engine applies Pauli errors, so
-//! depolarizing/idle errors and classical readout flips work identically
-//! on all three.
+//! backend-agnostic: both engines apply Pauli errors, so depolarizing/idle
+//! errors and classical readout flips work identically on either.
 
 use qcir::circuit::{Circuit, Op};
 use qcir::gate::Gate;
@@ -70,39 +61,23 @@ pub const TABLEAU_QUBIT_CAP: usize = 4096;
 /// end-measured circuits.
 pub const AUTO_DENSE_MAX_QUBITS: usize = 12;
 
-/// Sanity cap on MPS simulation: memory is `O(n·χ²)`, so thousands of
-/// qubits are representable, but nothing in this workspace goes near it.
-pub const MPS_QUBIT_CAP: usize = 1024;
-
-/// Bond-dimension bound used when [`BackendChoice::Auto`] dispatches to
-/// the MPS engine (callers wanting a different χ force
-/// [`BackendChoice::Mps`] explicitly).
-pub const MPS_DEFAULT_MAX_BOND: usize = 64;
-
-/// Under [`BackendChoice::Auto`], a general circuit past the dense cap
-/// dispatches to the MPS engine only when every multi-qubit gate spans at
-/// most this many sites ([`interaction_range`]): short-range circuits keep
-/// their SWAP-routing overhead small and are the regime where bounded-χ
-/// simulation is trustworthy.
-pub const AUTO_MPS_MAX_RANGE: usize = 8;
-
 /// A typed simulation failure, returned by the fallible execution entry
 /// points ([`crate::exec::Executor::try_run`] and friends) instead of the
 /// panics the pre-backend-layer API used.
 ///
 /// Every variant carries a machine-readable payload: [`SimError::code`] is
 /// a stable identifier for the failure class, and the fields name the
-/// concrete limit in force (e.g. a refusal from the MPS engine carries
-/// `backend: "mps", cap: 1024` — the resolved backend and *its* cap, not a
-/// generic message), so services can surface refusals over the wire
-/// without string-matching [`fmt::Display`] output.
+/// concrete limit in force (e.g. a general circuit past the dense cap
+/// carries `backend: "dense", cap: 26` — the resolved backend and *its*
+/// cap, not a generic message), so services can surface refusals over the
+/// wire without string-matching [`fmt::Display`] output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// The circuit needs more qubits than the chosen engine can represent.
     QubitCapExceeded {
         /// Engine that refused, as a stable machine-readable identifier
-        /// (`"dense"` / `"tableau"` / `"mps"`; grading guards substitute
-        /// their own label).
+        /// (`"dense"` / `"tableau"`; grading guards substitute their own
+        /// label).
         backend: &'static str,
         /// Qubits the circuit declares.
         num_qubits: usize,
@@ -115,34 +90,16 @@ pub enum SimError {
         /// The first offending gate.
         gate: Gate,
     },
-    /// An MPS run truncated more than the executor's budget allows: the
-    /// produced counts would come from a state whose fidelity loss can
-    /// exceed what the caller accepted. Raise the bond dimension, raise
-    /// the budget ([`crate::exec::ExecutorConfig::truncation_budget`]), or
-    /// use an exact engine.
-    TruncationBudgetExceeded {
-        /// The bond-dimension bound the run used.
-        max_bond: usize,
-        /// Worst per-trajectory truncation-infidelity bound observed
-        /// across the run (`(Σ√(2δ))²` over each trajectory's discarded
-        /// weights δ, clamped to 1 — rigorous, not a first-order
-        /// estimate).
-        error_bound: f64,
-        /// The budget that was exceeded.
-        budget: f64,
-    },
 }
 
 impl SimError {
     /// Stable machine-readable identifier for the failure class
-    /// (`qubit_cap` / `non_clifford` / `truncation_budget`) — the `code`
-    /// field wire protocols key error handling on, so adding a message
-    /// detail never breaks a client.
+    /// (`qubit_cap` / `non_clifford`) — the `code` field wire protocols key
+    /// error handling on, so adding a message detail never breaks a client.
     pub fn code(&self) -> &'static str {
         match self {
             SimError::QubitCapExceeded { .. } => "qubit_cap",
             SimError::NonCliffordGate { .. } => "non_clifford",
-            SimError::TruncationBudgetExceeded { .. } => "truncation_budget",
         }
     }
 }
@@ -161,15 +118,6 @@ impl fmt::Display for SimError {
             SimError::NonCliffordGate { gate } => {
                 write!(f, "tableau backend cannot apply non-Clifford gate `{gate}`")
             }
-            SimError::TruncationBudgetExceeded {
-                max_bond,
-                error_bound,
-                budget,
-            } => write!(
-                f,
-                "mps run at bond dimension {max_bond} reached a truncation-infidelity bound \
-                 of {error_bound:.3e}, over the {budget:.3e} truncation budget"
-            ),
         }
     }
 }
@@ -183,29 +131,6 @@ pub fn first_non_clifford(circuit: &Circuit) -> Option<Gate> {
         Op::Gate { gate, .. } | Op::CondGate { gate, .. } if !gate.is_clifford() => Some(*gate),
         _ => None,
     })
-}
-
-/// The widest span any multi-qubit gate covers: `max(q_max − q_min)` over
-/// all gate and conditional-gate ops (0 for single-qubit-only circuits).
-///
-/// On the MPS engine a gate spanning `w` sites costs `O(w)` transient
-/// SWAPs, and circuits whose gates stay short-range are exactly the
-/// low-entanglement regime where bounded bond dimension is faithful — so
-/// [`BackendChoice::Auto`] only routes to MPS below [`AUTO_MPS_MAX_RANGE`].
-pub fn interaction_range(circuit: &Circuit) -> usize {
-    circuit
-        .ops()
-        .iter()
-        .filter_map(|op| match op {
-            Op::Gate { qubits, .. } | Op::CondGate { qubits, .. } if qubits.len() > 1 => {
-                let lo = qubits.iter().min().expect("non-empty operand list");
-                let hi = qubits.iter().max().expect("non-empty operand list");
-                Some(hi - lo)
-            }
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 /// Caller-facing backend selector.
@@ -222,11 +147,6 @@ pub enum BackendChoice {
     Dense,
     /// Force the stabilizer-tableau engine (Clifford circuits only).
     Tableau,
-    /// Force the matrix-product-state engine with the given bond bound.
-    Mps {
-        /// Maximum bond dimension χ (clamped to ≥ 1 by the engine).
-        max_bond: usize,
-    },
 }
 
 impl fmt::Display for BackendChoice {
@@ -235,7 +155,6 @@ impl fmt::Display for BackendChoice {
             BackendChoice::Auto => f.write_str("auto"),
             BackendChoice::Dense => f.write_str("dense"),
             BackendChoice::Tableau => f.write_str("tableau"),
-            BackendChoice::Mps { max_bond } => write!(f, "mps:{max_bond}"),
         }
     }
 }
@@ -244,37 +163,18 @@ impl fmt::Display for BackendChoice {
 /// [`FromStr`] error for [`BackendChoice`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BackendParseError {
-    /// The backend name matched none of `auto|dense|tableau|mps[:χ]`.
+    /// The backend name matched none of `auto|dense|tableau`.
     UnknownBackend {
         /// The offending (trimmed) input.
         value: String,
     },
-    /// The `mps:<χ>` suffix was not a positive integer.
-    InvalidBondDimension {
-        /// The offending χ suffix.
-        value: String,
-    },
-    /// `mps:0` — a χ=0 train cannot hold any state.
-    ZeroBondDimension,
 }
 
 impl fmt::Display for BackendParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BackendParseError::UnknownBackend { value } => {
-                write!(
-                    f,
-                    "unknown backend `{value}` (expected auto|dense|tableau|mps[:χ])"
-                )
-            }
-            BackendParseError::InvalidBondDimension { value } => {
-                write!(
-                    f,
-                    "invalid mps bond dimension `{value}` (expected a positive integer)"
-                )
-            }
-            BackendParseError::ZeroBondDimension => {
-                f.write_str("mps bond dimension must be at least 1")
+                write!(f, "unknown backend `{value}` (expected auto|dense|tableau)")
             }
         }
     }
@@ -285,34 +185,16 @@ impl std::error::Error for BackendParseError {}
 impl FromStr for BackendChoice {
     type Err = BackendParseError;
 
-    /// Parses `auto`, `dense`, `tableau`, `mps`, or `mps:<χ>` (the format
-    /// of the wire's per-job `backend` field). Surrounding whitespace is
-    /// ignored.
+    /// Parses `auto`, `dense` or `tableau` (the format of the wire's
+    /// per-job `backend` field). Surrounding whitespace is ignored.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "auto" => Ok(BackendChoice::Auto),
             "dense" => Ok(BackendChoice::Dense),
             "tableau" => Ok(BackendChoice::Tableau),
-            "mps" => Ok(BackendChoice::Mps {
-                max_bond: MPS_DEFAULT_MAX_BOND,
+            other => Err(BackendParseError::UnknownBackend {
+                value: other.to_string(),
             }),
-            other => {
-                if let Some(chi) = other.strip_prefix("mps:") {
-                    let max_bond: usize =
-                        chi.parse()
-                            .map_err(|_| BackendParseError::InvalidBondDimension {
-                                value: chi.to_string(),
-                            })?;
-                    if max_bond == 0 {
-                        return Err(BackendParseError::ZeroBondDimension);
-                    }
-                    Ok(BackendChoice::Mps { max_bond })
-                } else {
-                    Err(BackendParseError::UnknownBackend {
-                        value: other.to_string(),
-                    })
-                }
-            }
         }
     }
 }
@@ -324,11 +206,6 @@ pub enum BackendKind {
     Dense,
     /// Stabilizer-tableau simulation.
     Tableau,
-    /// Matrix-product-state simulation at the given bond bound.
-    Mps {
-        /// Maximum bond dimension χ.
-        max_bond: usize,
-    },
 }
 
 impl BackendKind {
@@ -337,7 +214,6 @@ impl BackendKind {
         match self {
             BackendKind::Dense => "dense",
             BackendKind::Tableau => "tableau",
-            BackendKind::Mps { .. } => "mps",
         }
     }
 }
@@ -383,29 +259,12 @@ pub fn resolve(choice: BackendChoice, circuit: &Circuit) -> Result<BackendKind, 
             })
         }
     };
-    let mps_ok = |max_bond: usize| {
-        if n <= MPS_QUBIT_CAP {
-            Ok(BackendKind::Mps { max_bond })
-        } else {
-            Err(SimError::QubitCapExceeded {
-                backend: "mps",
-                num_qubits: n,
-                cap: MPS_QUBIT_CAP,
-            })
-        }
-    };
     match choice {
         BackendChoice::Dense => dense_ok("dense"),
         BackendChoice::Tableau => tableau_ok(),
-        BackendChoice::Mps { max_bond } => mps_ok(max_bond),
         BackendChoice::Auto => {
             if circuit.is_clifford() && n > AUTO_DENSE_MAX_QUBITS {
                 tableau_ok()
-            } else if n > DENSE_QUBIT_CAP && interaction_range(circuit) <= AUTO_MPS_MAX_RANGE {
-                // General circuit past the dense cap but with short-range
-                // interactions: the low-entanglement regime the MPS engine
-                // targets. Long-range circuits keep the dense refusal below.
-                mps_ok(MPS_DEFAULT_MAX_BOND)
             } else {
                 dense_ok("dense")
             }
@@ -446,10 +305,9 @@ mod tests {
             BackendKind::Tableau
         );
         // Long-range general circuit past the dense cap: no admissible
-        // engine (the MPS heuristic refuses wide interactions).
+        // engine.
         let mut big_general = Circuit::new(30, 30);
         big_general.h(0).t(0).cp(0.3, 0, 29);
-        assert!(interaction_range(&big_general) > AUTO_MPS_MAX_RANGE);
         assert_eq!(
             resolve(BackendChoice::Auto, &big_general),
             Err(SimError::QubitCapExceeded {
@@ -461,23 +319,24 @@ mod tests {
     }
 
     #[test]
-    fn auto_dispatches_short_range_general_circuits_to_mps() {
+    fn auto_refuses_short_range_general_circuits_past_the_dense_cap() {
         // 30 qubits, nearest-neighbor non-Clifford gates: over the dense
-        // cap but MPS-eligible.
+        // cap, and no other engine runs general circuits.
         let mut qc = Circuit::new(30, 30);
         for q in 0..29 {
             qc.t(q);
             qc.cx(q, q + 1);
         }
         assert!(!qc.is_clifford());
-        assert_eq!(interaction_range(&qc), 1);
         assert_eq!(
-            resolve(BackendChoice::Auto, &qc).unwrap(),
-            BackendKind::Mps {
-                max_bond: MPS_DEFAULT_MAX_BOND
-            }
+            resolve(BackendChoice::Auto, &qc),
+            Err(SimError::QubitCapExceeded {
+                backend: "dense",
+                num_qubits: 30,
+                cap: 26,
+            })
         );
-        // Under the dense cap the dense engine still wins.
+        // Under the dense cap the dense engine runs it.
         let mut small = Circuit::new(5, 5);
         small.t(0).cx(0, 1);
         assert_eq!(
@@ -487,40 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn interaction_range_measures_gate_spans() {
-        let mut qc = Circuit::new(8, 8);
-        assert_eq!(interaction_range(&qc), 0);
-        qc.h(3);
-        assert_eq!(interaction_range(&qc), 0);
-        qc.cx(1, 2);
-        assert_eq!(interaction_range(&qc), 1);
-        qc.ccx(0, 4, 7);
-        assert_eq!(interaction_range(&qc), 7);
-    }
-
-    #[test]
     fn backend_choice_parses_the_env_format() {
         assert_eq!("auto".parse(), Ok(BackendChoice::Auto));
         assert_eq!("dense".parse(), Ok(BackendChoice::Dense));
         assert_eq!("tableau".parse(), Ok(BackendChoice::Tableau));
-        assert_eq!(
-            "mps".parse(),
-            Ok(BackendChoice::Mps {
-                max_bond: MPS_DEFAULT_MAX_BOND
-            })
-        );
-        assert_eq!("mps:32".parse(), Ok(BackendChoice::Mps { max_bond: 32 }));
         // Errors are typed, so callers and tests can match on the cause.
-        assert_eq!(
-            "mps:0".parse::<BackendChoice>(),
-            Err(BackendParseError::ZeroBondDimension)
-        );
-        assert_eq!(
-            "mps:abc".parse::<BackendChoice>(),
-            Err(BackendParseError::InvalidBondDimension {
-                value: "abc".into()
-            })
-        );
         assert_eq!(
             "cuda".parse::<BackendChoice>(),
             Err(BackendParseError::UnknownBackend {
@@ -532,9 +362,20 @@ mod tests {
             BackendChoice::Auto,
             BackendChoice::Dense,
             BackendChoice::Tableau,
-            BackendChoice::Mps { max_bond: 7 },
         ] {
             assert_eq!(choice.to_string().parse(), Ok(choice));
+        }
+    }
+
+    #[test]
+    fn mps_selectors_parse_as_unknown() {
+        for value in ["mps", "mps:32"] {
+            assert_eq!(
+                value.parse::<BackendChoice>(),
+                Err(BackendParseError::UnknownBackend {
+                    value: value.into()
+                })
+            );
         }
     }
 
@@ -543,28 +384,9 @@ mod tests {
         // Padding around the name is forgiven; the value inside must
         // still parse strictly.
         assert_eq!(" dense ".parse(), Ok(BackendChoice::Dense));
-        assert_eq!("\tmps:8\n".parse(), Ok(BackendChoice::Mps { max_bond: 8 }));
-        assert_eq!(
-            "  mps:0 ".parse::<BackendChoice>(),
-            Err(BackendParseError::ZeroBondDimension)
-        );
+        assert_eq!("\ttableau\n".parse(), Ok(BackendChoice::Tableau));
         // Interior whitespace is not forgiven.
-        assert!("mps: 8".parse::<BackendChoice>().is_err());
-    }
-
-    #[test]
-    fn forced_mps_accepts_general_circuits() {
-        let mut t = Circuit::new(3, 3);
-        t.h(0).t(0).ccx(0, 1, 2).measure_all();
-        assert_eq!(
-            resolve(BackendChoice::Mps { max_bond: 8 }, &t).unwrap(),
-            BackendKind::Mps { max_bond: 8 }
-        );
-        let wide = Circuit::new(MPS_QUBIT_CAP + 1, 0);
-        assert!(matches!(
-            resolve(BackendChoice::Mps { max_bond: 8 }, &wide),
-            Err(SimError::QubitCapExceeded { backend: "mps", .. })
-        ));
+        assert!("de nse".parse::<BackendChoice>().is_err());
     }
 
     #[test]
@@ -607,33 +429,23 @@ mod tests {
 
     #[test]
     fn error_codes_and_payloads_are_machine_readable() {
-        // A short-range general circuit past the MPS qubit cap must name
-        // the resolved backend ("mps") and its cap (1024) in the payload —
-        // no string matching needed to route the refusal.
-        let mut huge = Circuit::new(MPS_QUBIT_CAP + 1, 0);
-        huge.t(0);
+        // A Clifford circuit past the tableau cap must name the resolved
+        // backend ("tableau") and its cap in the payload — no string
+        // matching needed to route the refusal.
+        let huge = Circuit::new(TABLEAU_QUBIT_CAP + 1, 0);
         let err = resolve(BackendChoice::Auto, &huge).unwrap_err();
         assert_eq!(err.code(), "qubit_cap");
         assert!(matches!(
             err,
             SimError::QubitCapExceeded {
-                backend: "mps",
-                cap: MPS_QUBIT_CAP,
+                backend: "tableau",
+                cap: TABLEAU_QUBIT_CAP,
                 num_qubits,
-            } if num_qubits == MPS_QUBIT_CAP + 1
+            } if num_qubits == TABLEAU_QUBIT_CAP + 1
         ));
         assert_eq!(
             SimError::NonCliffordGate { gate: Gate::T }.code(),
             "non_clifford"
-        );
-        assert_eq!(
-            SimError::TruncationBudgetExceeded {
-                max_bond: 8,
-                error_bound: 0.25,
-                budget: 0.01,
-            }
-            .code(),
-            "truncation_budget"
         );
     }
 
@@ -641,11 +453,14 @@ mod tests {
     fn error_messages_render() {
         let e = SimError::NonCliffordGate { gate: Gate::T };
         assert!(e.to_string().contains("non-Clifford"));
-        let e = SimError::TruncationBudgetExceeded {
-            max_bond: 8,
-            error_bound: 0.25,
-            budget: 0.01,
+        let e = SimError::QubitCapExceeded {
+            backend: "dense",
+            num_qubits: 30,
+            cap: DENSE_QUBIT_CAP,
         };
-        assert!(e.to_string().contains("truncation budget"));
+        assert_eq!(
+            e.to_string(),
+            "dense backend capped at 26 qubits, circuit needs 30"
+        );
     }
 }

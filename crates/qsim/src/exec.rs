@@ -20,8 +20,7 @@
 //! [`CircuitPlan`] per shot (fused when noiseless,
 //! [`CircuitPlan::compile_noisy`] under noise); tableau jobs propagate a
 //! Pauli frame ([`crate::frame`]) or, when a conditioned non-Pauli gate
-//! rules that out, step a [`StabilizerSim`] per shot; MPS jobs sample a
-//! measure-at-end prefix or step an [`MpsState`] per shot.
+//! rules that out, step a [`StabilizerSim`] per shot.
 //!
 //! # Shot chunking and determinism
 //!
@@ -39,24 +38,22 @@ use crate::dist::{Counts, Distribution};
 use crate::frame::{FrameProgram, PauliFrame, WordFrame};
 use crate::job::JobSpec;
 use crate::lru::lock;
-use crate::mps::{MpsSampler, MpsState};
-use crate::noise::{NoiseModel, Pauli};
+use crate::noise::NoiseModel;
 use crate::plan::{self, CircuitPlan, PlanCache, PlanCacheStats};
 use crate::stabilizer::StabilizerSim;
 use crate::state::StateVector;
 use crate::word::{OutcomeWord, ParityMap};
 use qcir::circuit::{Circuit, Op};
-use qcir::gate::Gate;
 use qugen_telemetry::metrics::{self as tmetrics, Counter, Histogram};
 use qugen_telemetry::trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Interned registry handles for the executor layer: per-job wall time by
-/// resolved backend, shot/chunk volume, and truncation-budget consumption.
+/// resolved backend and shot/chunk volume.
 struct ExecMetrics {
     jobs: &'static Counter,
     job_failures: &'static Counter,
@@ -68,11 +65,6 @@ struct ExecMetrics {
     distributions: &'static Counter,
     job_us_dense: &'static Histogram,
     job_us_tableau: &'static Histogram,
-    job_us_mps: &'static Histogram,
-    /// Worst observed truncation error as ‰ of the budget (only finite
-    /// positive budgets record; >1000 means the budget was blown).
-    truncation_permille: &'static Histogram,
-    truncation_exceeded: &'static Counter,
 }
 
 impl ExecMetrics {
@@ -80,7 +72,6 @@ impl ExecMetrics {
         match kind {
             BackendKind::Dense => self.job_us_dense,
             BackendKind::Tableau => self.job_us_tableau,
-            BackendKind::Mps { .. } => self.job_us_mps,
         }
     }
 }
@@ -96,24 +87,11 @@ fn exec_metrics() -> &'static ExecMetrics {
         distributions: tmetrics::counter("exec.distributions"),
         job_us_dense: tmetrics::histogram("exec.job_us.dense"),
         job_us_tableau: tmetrics::histogram("exec.job_us.tableau"),
-        job_us_mps: tmetrics::histogram("exec.job_us.mps"),
-        truncation_permille: tmetrics::histogram("exec.truncation_permille"),
-        truncation_exceeded: tmetrics::counter("exec.truncation_exceeded"),
     })
 }
 
 /// Shots per RNG chunk (see the module docs on determinism).
 pub const SHOT_CHUNK: u64 = 1024;
-
-/// Default cap on the truncation error an MPS run may accumulate before
-/// the executor refuses its counts with
-/// [`SimError::TruncationBudgetExceeded`]. The gated quantity is the
-/// rigorous per-trajectory infidelity bound `(Σ√(2δ))²` over the
-/// trajectory's discarded weights δ, so counts that pass the default are
-/// genuinely high-fidelity; override with
-/// [`ExecutorConfig::truncation_budget`] (e.g. `f64::INFINITY` for
-/// best-effort runs) or per job with [`JobSpec::with_budget`].
-pub const DEFAULT_TRUNCATION_BUDGET: f64 = 1e-2;
 
 /// Shots used by the sampled [`Executor::ideal_distribution`] fallback.
 const DISTRIBUTION_SHOTS: u64 = 16_384;
@@ -168,12 +146,6 @@ pub struct ExecutorConfig {
     /// Worker threads for shot execution (clamped to ≥ 1 at build time).
     /// Results never depend on this; see the module docs.
     pub threads: usize,
-    /// MPS truncation budget: the worst rigorous truncation-infidelity
-    /// bound any trajectory may reach before the run fails with
-    /// [`SimError::TruncationBudgetExceeded`]. Default
-    /// [`DEFAULT_TRUNCATION_BUDGET`]; `f64::INFINITY` means best-effort.
-    /// Jobs may override it per spec ([`JobSpec::with_budget`]).
-    pub truncation_budget: f64,
     /// Compiled-plan cache mode (default: the shared process-wide LRU).
     pub plan_cache: PlanCacheMode,
 }
@@ -184,7 +156,6 @@ impl Default for ExecutorConfig {
             noise: NoiseModel::ideal(),
             backend: BackendChoice::Auto,
             threads: 1,
-            truncation_budget: DEFAULT_TRUNCATION_BUDGET,
             plan_cache: PlanCacheMode::Shared,
         }
     }
@@ -211,12 +182,6 @@ impl ExecutorConfig {
     /// Sets the worker-thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the MPS truncation budget.
-    pub fn truncation_budget(mut self, budget: f64) -> Self {
-        self.truncation_budget = budget;
         self
     }
 
@@ -308,18 +273,10 @@ impl Executor {
     ///
     /// Returns a [`SimError`] when no admissible backend can run the
     /// circuit (qubit caps, or non-Clifford gates on a forced tableau) —
-    /// conditions the pre-backend-layer API turned into panics — or when
-    /// an MPS run truncates past the configured
-    /// [`ExecutorConfig::truncation_budget`]. Classical-register width is
-    /// unbounded: outcomes are multi-word.
+    /// conditions the pre-backend-layer API turned into panics.
+    /// Classical-register width is unbounded: outcomes are multi-word.
     pub fn try_run(&self, circuit: &Circuit, shots: u64, seed: u64) -> Result<Counts, SimError> {
-        let task = self.prepare(
-            circuit,
-            shots,
-            seed,
-            self.config.backend,
-            self.config.truncation_budget,
-        )?;
+        let task = self.prepare(circuit, shots, seed, self.config.backend)?;
         self.run_solo(task)
     }
 
@@ -352,23 +309,16 @@ impl Executor {
             circuit.num_clbits(),
             "parity map and circuit disagree on the register width"
         );
-        let task = self.prepare(
-            circuit,
-            shots,
-            seed,
-            self.config.backend,
-            self.config.truncation_budget,
-        )?;
+        let task = self.prepare(circuit, shots, seed, self.config.backend)?;
         self.run_solo(Task {
             parities: Some(parities),
             ..task
         })
     }
 
-    /// Runs one [`JobSpec`], honoring its per-job backend and truncation-
-    /// budget overrides (falling back to this executor's configuration).
-    /// Equivalent to [`Executor::try_run`] when the spec carries no
-    /// overrides.
+    /// Runs one [`JobSpec`], honoring its per-job backend override
+    /// (falling back to this executor's configuration). Equivalent to
+    /// [`Executor::try_run`] when the spec carries no override.
     pub fn try_run_job(&self, spec: &JobSpec) -> Result<Counts, SimError> {
         self.run_solo(self.prepare_job(spec)?)
     }
@@ -377,9 +327,8 @@ impl Executor {
     /// driving every job's shot chunks through one shared worker pool — so
     /// a suite of small jobs amortizes thread spin-up instead of paying it
     /// per circuit, and a straggler job keeps all workers busy rather than
-    /// serializing behind it. Per-job backend and budget overrides are
-    /// honored, so heterogeneous batches (the grader's candidate/reference
-    /// pairs) share one pool.
+    /// serializing behind it. Per-job backend overrides are honored, so
+    /// heterogeneous batches share one pool.
     ///
     /// Each job's counts are bit-identical to running
     /// [`Executor::try_run_job`] on it alone, for every thread count: chunk
@@ -396,8 +345,8 @@ impl Executor {
         m.batches.inc();
         let _batch_span = trace::span("executor", "batch").int("jobs", specs.len() as i128);
         // Prefix evolution is the dominant cost of a sampling-path job (one
-        // full dense/MPS pass over the circuit), so jobs prepare on the
-        // pool too; each prepare is deterministic in isolation.
+        // full dense pass over the circuit), so jobs prepare on the pool
+        // too; each prepare is deterministic in isolation.
         let slots: Vec<Mutex<Option<Result<Task, SimError>>>> =
             specs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -424,26 +373,24 @@ impl Executor {
     }
 
     /// Resolves one job's backend and evolves its fast-path prefix.
-    /// `choice` and `budget` are the job's *effective* backend choice and
-    /// truncation budget (per-job overrides already folded in).
+    /// `choice` is the job's *effective* backend choice (per-job override
+    /// already folded in).
     fn prepare<'c>(
         &self,
         circuit: &'c Circuit,
         shots: u64,
         seed: u64,
         choice: BackendChoice,
-        budget: f64,
     ) -> Result<Task<'c>, SimError> {
         let kind = backend::resolve(choice, circuit)?;
         let noisy = self.config.noise.is_noisy();
-        let sampling_ok = !noisy && measures_only_at_end(circuit);
         let source = match kind {
-            BackendKind::Dense if sampling_ok => {
+            BackendKind::Dense if !noisy && measures_only_at_end(circuit) => {
                 let plan = self.plan_for(circuit);
                 let mut sv = StateVector::zero(circuit.num_qubits());
                 plan.apply_unitary(&mut sv);
                 ShotSource::Sampling {
-                    sampler: Sampler::Dense(sv),
+                    state: sv,
                     measure_map: plan.measure_map().to_vec(),
                 }
             }
@@ -463,21 +410,6 @@ impl Executor {
             BackendKind::Dense => ShotSource::Planned {
                 plan: self.plan_for(circuit),
             },
-            // Basis words are multi-word `OutcomeWord`s, so measure-at-end
-            // MPS circuits keep the O(n·χ²)-per-shot sampling fast path at
-            // any width.
-            BackendKind::Mps { max_bond } if sampling_ok => {
-                let (state, measure_map) = evolve_mps_prefix(circuit, max_bond);
-                check_truncation(budget, max_bond, state.truncation_error())?;
-                ShotSource::Sampling {
-                    sampler: Sampler::Mps(state.into_sampler()),
-                    measure_map,
-                }
-            }
-            BackendKind::Mps { max_bond } => ShotSource::Trajectory {
-                circuit,
-                engine: Engine::Mps(MpsState::new(circuit.num_qubits(), max_bond)),
-            },
             // Clifford circuits on the tableau: one reference pass, then a
             // Pauli frame per shot, bit-identical to per-shot tableau runs.
             // A conditioned non-Pauli gate keeps the per-shot tableau.
@@ -485,7 +417,7 @@ impl Executor {
                 Some(program) => ShotSource::Frame { program },
                 None => ShotSource::Trajectory {
                     circuit,
-                    engine: Engine::Tableau(StabilizerSim::new(circuit.num_qubits())),
+                    sim: StabilizerSim::new(circuit.num_qubits()),
                 },
             },
         };
@@ -496,18 +428,16 @@ impl Executor {
             parities: None,
             shots,
             seed,
-            budget,
         })
     }
 
-    /// [`Executor::prepare`] with a spec's effective backend and budget.
+    /// [`Executor::prepare`] with a spec's effective backend.
     fn prepare_job<'c>(&self, spec: &'c JobSpec) -> Result<Task<'c>, SimError> {
         self.prepare(
             spec.circuit(),
             spec.shots(),
             spec.seed(),
             spec.effective_backend(self.config.backend),
-            spec.effective_budget(self.config.truncation_budget),
         )
     }
 
@@ -551,15 +481,9 @@ impl Executor {
     /// [`ExecutorConfig::threads`] workers drain (inline when one worker
     /// suffices). A worker builds its simulation context for a job lazily,
     /// on its first chunk of that job, and keeps counts per job locally;
-    /// when the queue is empty it retires, folding its counts and MPS
-    /// truncation high-water marks into the job's tally. Jobs that failed
-    /// to prepare pass through as their error.
-    ///
-    /// Each job has an early-abort flag: once a worker's state blows the
-    /// job's truncation budget, the job is doomed to the typed error, so
-    /// its remaining chunks are skipped instead of burning the rest of the
-    /// shot budget. Jobs within budget never set their flag, keeping
-    /// results bit-identical for every thread count.
+    /// when the queue is empty it retires, folding its counts into the
+    /// job's tally. Jobs that failed to prepare pass through as their
+    /// error.
     fn schedule(&self, tasks: Vec<Result<Task, SimError>>) -> Vec<Result<Counts, SimError>> {
         let items: Vec<(usize, u64)> = tasks
             .iter()
@@ -567,8 +491,7 @@ impl Executor {
             .filter_map(|(t, task)| Some((t, task.as_ref().ok()?.shots.div_ceil(SHOT_CHUNK))))
             .flat_map(|(t, chunks)| (0..chunks).map(move |c| (t, c)))
             .collect();
-        let tallies: Vec<Mutex<Tally>> = tasks.iter().map(|_| Mutex::default()).collect();
-        let cancelled: Vec<AtomicBool> = tasks.iter().map(|_| AtomicBool::new(false)).collect();
+        let tallies: Vec<Mutex<Option<Counts>>> = tasks.iter().map(|_| Mutex::default()).collect();
         let next = AtomicUsize::new(0);
         on_workers(self.config.threads.min(items.len()), || {
             let mut local: Vec<Option<(WorkerCtx, Counts)>> = tasks.iter().map(|_| None).collect();
@@ -576,23 +499,15 @@ impl Executor {
                 let Ok(task) = &tasks[t] else {
                     unreachable!("only prepared jobs enqueue chunks")
                 };
-                if cancelled[t].load(Ordering::Relaxed) {
-                    continue;
-                }
                 let (ctx, counts) =
                     local[t].get_or_insert_with(|| (task.worker_ctx(), task.empty_counts()));
                 self.run_chunk(task, ctx, chunk, counts);
-                if ctx.truncation_error() > task.budget {
-                    cancelled[t].store(true, Ordering::Relaxed);
-                }
             }
             for (tally, slot) in tallies.iter().zip(local) {
-                if let Some((ctx, counts)) = slot {
-                    let mut tally = lock(tally);
-                    tally.worst_truncation = tally.worst_truncation.max(ctx.truncation_error());
-                    match &mut tally.counts {
+                if let Some((_, counts)) = slot {
+                    match &mut *lock(tally) {
                         Some(total) => total.merge(&counts),
-                        None => tally.counts = Some(counts),
+                        empty => *empty = Some(counts),
                     }
                 }
             }
@@ -602,13 +517,7 @@ impl Executor {
             .zip(&tallies)
             .map(|(task, tally)| {
                 let task = task?;
-                let tally = std::mem::take(&mut *lock(tally));
-                if let (ShotSource::Trajectory { .. }, BackendKind::Mps { max_bond }) =
-                    (&task.source, task.kind)
-                {
-                    check_truncation(task.budget, max_bond, tally.worst_truncation)?;
-                }
-                Ok(tally.counts.unwrap_or_else(|| task.empty_counts()))
+                Ok(lock(tally).take().unwrap_or_else(|| task.empty_counts()))
             })
             .collect()
     }
@@ -644,16 +553,12 @@ impl Executor {
         let rng = &mut StdRng::seed_from_u64(derive_seed(task.seed, chunk));
         let parities = task.parities;
         match (&task.source, ctx) {
-            (
-                ShotSource::Sampling {
-                    sampler,
-                    measure_map,
-                },
-                WorkerCtx::Basis(basis),
-            ) => record(shots, rng, parities, counts, |rng, word| {
-                sampler.draw_into(rng, basis);
-                pack_clbits(basis, measure_map, word);
-            }),
+            (ShotSource::Sampling { state, measure_map }, WorkerCtx::Basis(basis)) => {
+                record(shots, rng, parities, counts, |rng, word| {
+                    basis.assign_u64(state.sample(rng) as u64);
+                    pack_clbits(basis, measure_map, word);
+                });
+            }
             (ShotSource::Planned { plan }, WorkerCtx::Dense(sv)) => {
                 record(shots, rng, parities, counts, |rng, word| {
                     plan.run_trajectory(sv, &self.config.noise, rng, word);
@@ -669,22 +574,23 @@ impl Executor {
                     program.run_shot(frame, &self.config.noise, rng, word);
                 });
             }
-            (ShotSource::Trajectory { circuit, .. }, WorkerCtx::Engine(engine)) => {
+            (ShotSource::Trajectory { circuit, .. }, WorkerCtx::Tableau(sim)) => {
                 record(shots, rng, parities, counts, |rng, word| {
-                    self.trajectory(circuit, engine, rng, word);
+                    self.trajectory(circuit, sim, rng, word);
                 });
             }
             _ => unreachable!("worker contexts are built for their job's shot source"),
         }
     }
 
-    /// One full Monte-Carlo trajectory on a tableau or MPS engine, writing
-    /// the classical outcome into the caller's scratch word (cleared first;
-    /// any register width).
+    /// One full Monte-Carlo trajectory on the tableau, writing the
+    /// classical outcome into the caller's scratch word (cleared first; any
+    /// register width). Gate application cannot fail: [`backend::resolve`]
+    /// validated the circuit against the tableau before the first shot.
     fn trajectory(
         &self,
         circuit: &Circuit,
-        state: &mut Engine,
+        state: &mut StabilizerSim,
         rng: &mut StdRng,
         clbits: &mut OutcomeWord,
     ) {
@@ -695,7 +601,9 @@ impl Executor {
             match op {
                 Op::Gate { gate, qubits } => {
                     state.apply_gate(*gate, qubits);
-                    noise.for_each_gate_error(gate, qubits, rng, |q, p| state.apply_pauli(q, p));
+                    noise.for_each_gate_error(gate, qubits, rng, |q, p| {
+                        state.apply_gate(p.gate(), &[q])
+                    });
                 }
                 Op::CondGate {
                     gate,
@@ -705,8 +613,9 @@ impl Executor {
                 } => {
                     if clbits.bit(*clbit) == *value {
                         state.apply_gate(*gate, qubits);
-                        noise
-                            .for_each_gate_error(gate, qubits, rng, |q, p| state.apply_pauli(q, p));
+                        noise.for_each_gate_error(gate, qubits, rng, |q, p| {
+                            state.apply_gate(p.gate(), &[q])
+                        });
                     }
                 }
                 Op::Measure { qubit, clbit } => {
@@ -718,7 +627,7 @@ impl Executor {
                 }
                 Op::Barrier { .. } => {
                     let n = circuit.num_qubits();
-                    noise.for_each_idle_error(n, rng, |q, p| state.apply_pauli(q, p));
+                    noise.for_each_idle_error(n, rng, |q, p| state.apply_gate(p.gate(), &[q]));
                 }
             }
         }
@@ -825,9 +734,9 @@ impl Executor {
 /// How a prepared job's shots are produced.
 enum ShotSource<'c> {
     /// Sampling fast path: the unitary prefix evolved once, shared
-    /// read-only; shots draw whole basis words from the [`Sampler`].
+    /// read-only; shots draw whole basis indices from its probabilities.
     Sampling {
-        sampler: Sampler,
+        state: StateVector,
         measure_map: Vec<(usize, usize)>,
     },
     /// Monte-Carlo path on a compiled dense plan: fused for noiseless
@@ -837,11 +746,12 @@ enum ShotSource<'c> {
     /// Pauli-frame path: tableau jobs compiled against one reference
     /// sample, bit-identical to per-shot tableau trajectories.
     Frame { program: FrameProgram },
-    /// Monte-Carlo path through [`Executor::trajectory`]; each worker
-    /// steps its own clone of the fresh `engine`.
+    /// Monte-Carlo path through [`Executor::trajectory`] for Clifford jobs
+    /// the Pauli frame cannot run; each worker steps its own clone of the
+    /// fresh tableau `sim`.
     Trajectory {
         circuit: &'c Circuit,
-        engine: Engine,
+        sim: StabilizerSim,
     },
 }
 
@@ -858,26 +768,6 @@ impl ShotSource<'_> {
     }
 }
 
-/// A frozen measure-at-end prefix both sampling engines draw shots from —
-/// the single `draw` seam the dense and MPS fast paths share, so the
-/// executor has one sampling arm instead of twin dense/MPS copies.
-enum Sampler {
-    /// Dense state vector: exact index sampling from `2^n` probabilities.
-    Dense(StateVector),
-    /// MPS train with precomputed right environments: `O(n·χ²)` per shot.
-    Mps(MpsSampler),
-}
-
-impl Sampler {
-    /// Draws one basis word (bit `i` = qubit `i`) into the scratch word.
-    fn draw_into(&self, rng: &mut StdRng, basis: &mut OutcomeWord) {
-        match self {
-            Sampler::Dense(sv) => basis.assign_u64(sv.sample(rng) as u64),
-            Sampler::Mps(sampler) => sampler.sample_into(rng, basis),
-        }
-    }
-}
-
 /// A prepared job: its shot source and shot bookkeeping.
 struct Task<'c> {
     source: ShotSource<'c>,
@@ -889,9 +779,6 @@ struct Task<'c> {
     parities: Option<&'c ParityMap>,
     shots: u64,
     seed: u64,
-    /// Effective MPS truncation budget (per-job override or executor
-    /// default, folded in at `prepare` time).
-    budget: f64,
 }
 
 impl Task<'_> {
@@ -906,7 +793,7 @@ impl Task<'_> {
                 Some(frame) => WorkerCtx::WordFrame(frame),
                 None => WorkerCtx::Frame(program.frame()),
             },
-            ShotSource::Trajectory { engine, .. } => WorkerCtx::Engine(engine.clone()),
+            ShotSource::Trajectory { sim, .. } => WorkerCtx::Tableau(sim.clone()),
         }
     }
 
@@ -916,82 +803,16 @@ impl Task<'_> {
     }
 }
 
-/// What a job's workers have folded in when they retire.
-#[derive(Default)]
-struct Tally {
-    counts: Option<Counts>,
-    /// Worst truncation error any worker's state reached.
-    worst_truncation: f64,
-}
-
 /// A worker's reusable simulation context for one job: the basis scratch
 /// word of a sampler, a bare state vector for plan-driven trajectories, a
 /// Pauli frame for frame-sampled Clifford jobs (in two words up to 64
-/// qubits, else multi-word), or a per-shot engine.
+/// qubits, else multi-word), or a per-shot tableau.
 enum WorkerCtx {
     Basis(OutcomeWord),
     Dense(StateVector),
     WordFrame(WordFrame),
     Frame(PauliFrame),
-    Engine(Engine),
-}
-
-impl WorkerCtx {
-    /// The MPS truncation ledger's rigorous `(Σ√(2δ))²` bound, maximized
-    /// across the trajectories this context ran; exact engines report 0.
-    fn truncation_error(&self) -> f64 {
-        match self {
-            WorkerCtx::Engine(Engine::Mps(state)) => state.truncation_error(),
-            _ => 0.0,
-        }
-    }
-}
-
-/// The engines [`Executor::trajectory`] steps op by op: the tableau for
-/// Clifford jobs the Pauli frame cannot run, and MPS for jobs off its
-/// sampling fast path. Gate application cannot fail: [`backend::resolve`]
-/// validated the circuit against the engine before the first shot.
-#[derive(Clone)]
-enum Engine {
     Tableau(StabilizerSim),
-    Mps(MpsState),
-}
-
-impl Engine {
-    fn reinit(&mut self) {
-        match self {
-            Engine::Tableau(sim) => sim.reinit(),
-            Engine::Mps(state) => state.reinit(),
-        }
-    }
-
-    fn apply_gate(&mut self, gate: Gate, qubits: &[usize]) {
-        match self {
-            Engine::Tableau(sim) => sim.apply_gate(gate, qubits),
-            Engine::Mps(state) => state.apply_gate(gate, qubits),
-        }
-    }
-
-    fn apply_pauli(&mut self, qubit: usize, pauli: Pauli) {
-        match self {
-            Engine::Tableau(sim) => sim.apply_gate(pauli.gate(), &[qubit]),
-            Engine::Mps(state) => state.apply_pauli(qubit, pauli),
-        }
-    }
-
-    fn measure(&mut self, qubit: usize, rng: &mut StdRng) -> bool {
-        match self {
-            Engine::Tableau(sim) => sim.measure(qubit, rng),
-            Engine::Mps(state) => state.measure(qubit, rng),
-        }
-    }
-
-    fn reset(&mut self, qubit: usize, rng: &mut StdRng) {
-        match self {
-            Engine::Tableau(sim) => sim.reset(qubit, rng),
-            Engine::Mps(state) => state.reset(qubit, rng),
-        }
-    }
 }
 
 /// Runs `work` on `threads` scoped workers, or inline on the calling
@@ -1005,43 +826,6 @@ fn on_workers(threads: usize, work: impl Fn() + Sync) {
             scope.spawn(&work);
         }
     });
-}
-
-/// The truncation budget check MPS runs pass through: `error_bound` is the
-/// worst per-trajectory rigorous infidelity bound observed.
-fn check_truncation(budget: f64, max_bond: usize, error_bound: f64) -> Result<(), SimError> {
-    // Budget consumption in ‰ — how close MPS runs sail to their budget
-    // is invisible from pass/fail alone. Unbounded budgets record nothing
-    // (consumption of an infinite budget is always 0).
-    if tmetrics::enabled() && budget > 0.0 && budget.is_finite() {
-        let permille = (error_bound / budget * 1000.0).min(u64::MAX as f64) as u64;
-        exec_metrics().truncation_permille.record(permille);
-    }
-    if error_bound > budget {
-        exec_metrics().truncation_exceeded.inc();
-        Err(SimError::TruncationBudgetExceeded {
-            max_bond,
-            error_bound,
-            budget,
-        })
-    } else {
-        Ok(())
-    }
-}
-
-/// Evolves a measure-at-end circuit's unitary prefix on the MPS engine.
-fn evolve_mps_prefix(circuit: &Circuit, max_bond: usize) -> (MpsState, Vec<(usize, usize)>) {
-    let mut state = MpsState::new(circuit.num_qubits(), max_bond);
-    let mut measure_map: Vec<(usize, usize)> = Vec::new();
-    for op in circuit.ops() {
-        match op {
-            Op::Gate { gate, qubits } => state.apply_gate(*gate, qubits),
-            Op::Measure { qubit, clbit } => measure_map.push((*qubit, *clbit)),
-            Op::Barrier { .. } => {}
-            _ => unreachable!("fast path precondition violated"),
-        }
-    }
-    (state, measure_map)
 }
 
 /// Packs a basis state (bit `q` = qubit `q`) into the classical word
@@ -1114,6 +898,7 @@ mod tests {
     use super::*;
     use crate::plan::tests::reference_trajectory;
     use crate::profiles;
+    use qcir::gate::Gate;
 
     fn bell() -> Circuit {
         let mut qc = Circuit::new(2, 2);
@@ -1280,32 +1065,21 @@ mod tests {
     fn every_engine_runs_a_deterministic_trajectory() {
         // X on both qubits, measured; a Pauli error flips qubit 0 back; a
         // reset clears qubit 1. The conditioned H never fires but keeps the
-        // tableau job off the Pauli frame, so all three per-shot paths run
-        // (dense plan, tableau engine, MPS engine), reinitialized per shot.
+        // tableau job off the Pauli frame, so both per-shot paths run
+        // (dense plan, tableau engine), reinitialized per shot.
         let mut qc = Circuit::new(2, 4);
         qc.x(0).x(1).measure(0, 0).x(0).measure(0, 1).measure(1, 2);
         qc.cond_gate(Gate::H, &[1], 1, true);
         qc.reset(1).measure(1, 3);
-        for choice in [
-            BackendChoice::Dense,
-            BackendChoice::Tableau,
-            BackendChoice::Mps { max_bond: 4 },
-        ] {
-            // A zero truncation budget: no engine may approximate here.
-            let counts = ExecutorConfig::new()
-                .backend(choice)
-                .truncation_budget(0.0)
-                .build()
-                .try_run(&qc, 3 * SHOT_CHUNK, 1)
-                .unwrap();
+        for choice in [BackendChoice::Dense, BackendChoice::Tableau] {
+            let counts = on_backend(choice).try_run(&qc, 3 * SHOT_CHUNK, 1).unwrap();
             assert_eq!(counts.count(0b0101), 3 * SHOT_CHUNK, "{choice}");
         }
     }
 
     #[test]
     fn try_run_returns_typed_errors() {
-        // Non-Clifford AND long-range past the dense cap: no backend can
-        // run it (short-range circuits would dispatch to the MPS engine).
+        // Non-Clifford past the dense cap: no backend can run it.
         let mut big = Circuit::new(30, 30);
         big.h(0).t(0).cp(0.4, 0, 29).measure(0, 0);
         assert!(matches!(
@@ -1400,133 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn forced_mps_agrees_with_dense_on_bell() {
-        let dense = on_backend(BackendChoice::Dense)
-            .try_run(&bell(), 4000, 11)
-            .unwrap()
-            .to_distribution();
-        let mps = on_backend(BackendChoice::Mps { max_bond: 4 })
-            .try_run(&bell(), 4000, 12)
-            .unwrap()
-            .to_distribution();
-        assert!(dense.tvd(&mps) < 0.05);
-    }
-
-    #[test]
-    fn auto_runs_short_range_general_circuits_past_the_dense_cap() {
-        // 30 qubits of nearest-neighbor T+CX: refused outright before the
-        // MPS backend existed.
-        let n = 30;
-        let mut qc = Circuit::new(n, n);
-        for q in 0..n {
-            qc.h(q);
-        }
-        for q in 0..n - 1 {
-            qc.t(q);
-            qc.cx(q, q + 1);
-        }
-        qc.measure_all();
-        let counts = Executor::ideal().try_run(&qc, 128, 17).unwrap();
-        assert_eq!(counts.shots(), 128);
-    }
-
-    #[test]
-    fn mps_trajectory_path_handles_midcircuit_measurement() {
-        // Teleport-like conditional on the forced MPS engine.
-        let mut qc = Circuit::new(2, 2);
-        qc.x(0).t(0).measure(0, 0);
-        qc.cond_gate(Gate::X, &[1], 0, true);
-        qc.measure(1, 1);
-        let counts = on_backend(BackendChoice::Mps { max_bond: 4 })
-            .try_run(&qc, 200, 3)
-            .unwrap();
-        assert_eq!(counts.count(0b11), 200);
-    }
-
-    #[test]
-    fn truncation_budget_is_enforced_and_typed() {
-        // χ = 1 cannot hold a Bell pair: the run must refuse, not lie.
-        let exec = on_backend(BackendChoice::Mps { max_bond: 1 });
-        assert!(matches!(
-            exec.try_run(&bell(), 100, 5),
-            Err(SimError::TruncationBudgetExceeded { max_bond: 1, .. })
-        ));
-        // An explicit infinite budget lets the truncated run through.
-        let counts = ExecutorConfig::new()
-            .backend(BackendChoice::Mps { max_bond: 1 })
-            .truncation_budget(f64::INFINITY)
-            .build()
-            .try_run(&bell(), 100, 5)
-            .unwrap();
-        assert_eq!(counts.shots(), 100);
-        // The budget also applies on the per-shot trajectory path.
-        let mut mid = Circuit::new(2, 2);
-        mid.h(0).cx(0, 1).measure(0, 0).measure(1, 1).reset(0);
-        assert!(matches!(
-            exec.try_run(&mid, 50, 5),
-            Err(SimError::TruncationBudgetExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn doomed_mps_trajectory_runs_abort_early_with_the_typed_error() {
-        // χ = 1 blows the budget on the very first trajectory; with many
-        // chunks queued, the cancel flag lets the run refuse without
-        // replaying the whole shot budget. The refusal stays typed on both
-        // the serial and the parallel chunk loop, and on the batch path.
-        let mut mid = Circuit::new(2, 2);
-        mid.h(0).cx(0, 1).measure(0, 0).measure(1, 1).reset(0);
-        let exec = on_backend(BackendChoice::Mps { max_bond: 1 });
-        let shots = 16 * SHOT_CHUNK;
-        assert!(matches!(
-            exec.try_run(&mid, shots, 5),
-            Err(SimError::TruncationBudgetExceeded { max_bond: 1, .. })
-        ));
-        let parallel = ExecutorConfig::new()
-            .backend(BackendChoice::Mps { max_bond: 1 })
-            .threads(4)
-            .build();
-        assert!(matches!(
-            parallel.try_run(&mid, shots, 5),
-            Err(SimError::TruncationBudgetExceeded { max_bond: 1, .. })
-        ));
-        let mid = Arc::new(mid);
-        let batch = parallel.try_run_batch(&[
-            JobSpec::new(Arc::clone(&mid), shots, 5),
-            JobSpec::new(Arc::clone(&mid), shots, 6),
-        ]);
-        for result in batch {
-            assert!(matches!(
-                result,
-                Err(SimError::TruncationBudgetExceeded { max_bond: 1, .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn mps_parallel_sampling_is_deterministic() {
-        let mut qc = Circuit::new(6, 6);
-        for q in 0..6 {
-            qc.h(q);
-            qc.t(q);
-        }
-        for q in 0..5 {
-            qc.cx(q, q + 1);
-        }
-        qc.measure_all();
-        let serial = on_backend(BackendChoice::Mps { max_bond: 8 })
-            .try_run(&qc, 5000, 21)
-            .unwrap();
-        let parallel = ExecutorConfig::new()
-            .backend(BackendChoice::Mps { max_bond: 8 })
-            .threads(4)
-            .build()
-            .try_run(&qc, 5000, 21)
-            .unwrap();
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn planned_trajectories_match_the_unfused_engine_path() {
         // Noiseless dense with mid-circuit measurement: runs on the
         // plan-driven trajectory path. A zero-rate "noisy" model forces the
@@ -1593,15 +1240,15 @@ mod tests {
         qc_mid.h(0).measure(0, 0);
         qc_mid.cond_gate(Gate::X, &[1], 0, true);
         qc_mid.measure(1, 1).measure(2, 2);
-        let mut qc_mps = Circuit::new(5, 5);
+        let mut qc_general = Circuit::new(5, 5);
         for q in 0..5 {
-            qc_mps.h(q);
-            qc_mps.t(q);
+            qc_general.h(q);
+            qc_general.t(q);
         }
         for q in 0..4 {
-            qc_mps.cx(q, q + 1);
+            qc_general.cx(q, q + 1);
         }
-        qc_mps.measure_all();
+        qc_general.measure_all();
         let mut qc_bad = Circuit::new(30, 30);
         qc_bad.h(0).t(0).cp(0.4, 0, 29).measure(0, 0);
         let qc_bell = Arc::new(qc_bell);
@@ -1609,7 +1256,7 @@ mod tests {
             JobSpec::new(Arc::clone(&qc_bell), 3000, 1),
             JobSpec::new(qc_ghz, 2500, 2),
             JobSpec::new(qc_mid, 1500, 3),
-            JobSpec::new(qc_mps, 2000, 4),
+            JobSpec::new(qc_general, 2000, 4),
             JobSpec::new(qc_bad, 100, 5),
             JobSpec::new(qc_bell, 0, 6),
         ];
@@ -1650,15 +1297,6 @@ mod tests {
             .unwrap();
         assert_eq!(batch[0].as_ref().unwrap(), &tableau);
         assert_eq!(batch[1].as_ref().unwrap(), &dense);
-        // A per-job budget override rescues an otherwise-refused MPS job.
-        let exec = on_backend(BackendChoice::Mps { max_bond: 1 });
-        assert!(exec
-            .try_run_job(&JobSpec::new(Arc::clone(&qc), 100, 5))
-            .is_err());
-        let rescued = exec
-            .try_run_job(&JobSpec::new(Arc::clone(&qc), 100, 5).with_budget(f64::INFINITY))
-            .unwrap();
-        assert_eq!(rescued.shots(), 100);
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //!
 //! A [`JobSpec`] replaces the ad-hoc `(&Circuit, u64, u64)` tuples the
 //! batch API grew up on: one value that names everything a simulation job
-//! is — the circuit, the shot budget, the seed, and (optionally) a backend
-//! override and an MPS truncation budget. [`JobKey`] is its cache
-//! identity.
+//! is — the circuit, the shot count, the seed, and (optionally) a backend
+//! override. [`JobKey`] is its cache identity.
 //!
 //! # Determinism contract
 //!
 //! A job is a *pure function of its spec*: running the same [`JobSpec`]
-//! (same circuit content, shots, seed, effective backend and effective
-//! truncation budget) produces bit-identical
+//! (same circuit content, shots, seed and effective backend) produces
+//! bit-identical
 //! [`Counts`](crate::dist::Counts) on every run, for every executor
 //! worker-thread count, on every host — shot chunks are seeded from
 //! `(seed, chunk index)` alone and merged by commutative outcome-wise
@@ -29,41 +28,33 @@ use std::sync::Arc;
 ///
 /// The circuit is held behind an [`Arc`] so a spec is cheap to clone into
 /// queues, worker threads and job tables without copying the op list.
-/// `backend` and `budget` are *overrides*: `None` inherits the executing
-/// [`crate::exec::Executor`]'s configured choice and truncation budget, so
-/// library callers that configure the executor once keep their behavior,
-/// while services can pin per-job values.
+/// `backend` is an *override*: `None` inherits the executing
+/// [`crate::exec::Executor`]'s configured choice, so library callers that
+/// configure the executor once keep their behavior, while services can pin
+/// a per-job engine.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     circuit: Arc<Circuit>,
     shots: u64,
     seed: u64,
     backend: Option<BackendChoice>,
-    budget: Option<f64>,
 }
 
 impl JobSpec {
     /// A job running `circuit` for `shots` shots from `seed`, inheriting
-    /// the executor's backend choice and truncation budget.
+    /// the executor's backend choice.
     pub fn new(circuit: impl Into<Arc<Circuit>>, shots: u64, seed: u64) -> Self {
         JobSpec {
             circuit: circuit.into(),
             shots,
             seed,
             backend: None,
-            budget: None,
         }
     }
 
     /// Pins the job to a backend choice, overriding the executor's.
     pub fn with_backend(mut self, backend: BackendChoice) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Pins the job's MPS truncation budget, overriding the executor's.
-    pub fn with_budget(mut self, budget: f64) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -87,36 +78,23 @@ impl JobSpec {
         self.backend
     }
 
-    /// The truncation-budget override, if any.
-    pub fn budget(&self) -> Option<f64> {
-        self.budget
-    }
-
     /// The backend choice this job runs under, given an executor default.
     pub fn effective_backend(&self, default: BackendChoice) -> BackendChoice {
         self.backend.unwrap_or(default)
     }
 
-    /// The truncation budget this job runs under, given an executor
-    /// default.
-    pub fn effective_budget(&self, default: f64) -> f64 {
-        self.budget.unwrap_or(default)
-    }
-
-    /// The job's cache identity under the given executor defaults: equal
-    /// keys imply bit-identical counts (the determinism contract), so a
-    /// result cache keyed on [`JobKey`] never has to re-execute a repeat.
+    /// The job's cache identity under the given executor default backend:
+    /// equal keys imply bit-identical counts (the determinism contract), so
+    /// a result cache keyed on [`JobKey`] never has to re-execute a repeat.
     ///
     /// The circuit enters through its 128-bit structural fingerprint
-    /// ([`crate::plan::fingerprint`]); the budget enters through its exact
-    /// bit pattern so `0.01` and `0.010000001` are distinct keys.
-    pub fn key(&self, default_backend: BackendChoice, default_budget: f64) -> JobKey {
+    /// ([`crate::plan::fingerprint`]).
+    pub fn key(&self, default_backend: BackendChoice) -> JobKey {
         JobKey {
             fingerprint: plan::fingerprint(&self.circuit),
             shots: self.shots,
             seed: self.seed,
             backend: self.effective_backend(default_backend),
-            budget_bits: self.effective_budget(default_budget).to_bits(),
         }
     }
 }
@@ -134,8 +112,6 @@ pub struct JobKey {
     pub seed: u64,
     /// Effective backend choice the job resolves under.
     pub backend: BackendChoice,
-    /// Effective truncation budget, as exact `f64` bits.
-    pub budget_bits: u64,
 }
 
 #[cfg(test)]
@@ -152,44 +128,30 @@ mod tests {
     #[test]
     fn key_depends_on_every_field_and_nothing_else() {
         let spec = JobSpec::new(bell(), 100, 7);
-        let base = spec.key(BackendChoice::Auto, 0.01);
+        let base = spec.key(BackendChoice::Auto);
         // A structurally equal circuit in a different allocation: same key.
-        let twin = JobSpec::new(bell(), 100, 7).key(BackendChoice::Auto, 0.01);
+        let twin = JobSpec::new(bell(), 100, 7).key(BackendChoice::Auto);
         assert_eq!(base, twin);
         // Every field perturbs the key.
-        assert_ne!(
-            base,
-            JobSpec::new(bell(), 101, 7).key(BackendChoice::Auto, 0.01)
-        );
-        assert_ne!(
-            base,
-            JobSpec::new(bell(), 100, 8).key(BackendChoice::Auto, 0.01)
-        );
-        assert_ne!(base, spec.key(BackendChoice::Dense, 0.01));
-        assert_ne!(base, spec.key(BackendChoice::Auto, 0.02));
+        assert_ne!(base, JobSpec::new(bell(), 101, 7).key(BackendChoice::Auto));
+        assert_ne!(base, JobSpec::new(bell(), 100, 8).key(BackendChoice::Auto));
+        assert_ne!(base, spec.key(BackendChoice::Dense));
         let mut other = bell();
         other.x(0);
-        assert_ne!(
-            base,
-            JobSpec::new(other, 100, 7).key(BackendChoice::Auto, 0.01)
-        );
+        assert_ne!(base, JobSpec::new(other, 100, 7).key(BackendChoice::Auto));
     }
 
     #[test]
     fn overrides_beat_executor_defaults() {
-        let spec = JobSpec::new(bell(), 10, 0)
-            .with_backend(BackendChoice::Tableau)
-            .with_budget(0.5);
+        let spec = JobSpec::new(bell(), 10, 0).with_backend(BackendChoice::Tableau);
         assert_eq!(
             spec.effective_backend(BackendChoice::Auto),
             BackendChoice::Tableau
         );
-        assert_eq!(spec.effective_budget(0.01), 0.5);
         let plain = JobSpec::new(bell(), 10, 0);
         assert_eq!(
             plain.effective_backend(BackendChoice::Dense),
             BackendChoice::Dense
         );
-        assert_eq!(plain.effective_budget(0.01), 0.01);
     }
 }

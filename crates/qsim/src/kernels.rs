@@ -63,20 +63,6 @@ fn tiers() -> &'static TierCounters {
     })
 }
 
-/// Whether the runtime-dispatched AVX2+FMA tier is active on this host.
-/// Other modules (the MPS theta contraction) consult this once per
-/// contraction to pick their own tier counter; always `false` off x86-64.
-pub fn avx2_fma_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        simd::avx2_fma_available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Returns `x` with a zero bit inserted at position `bit`: bits below `bit`
 /// stay, bits at or above shift up by one. Iterating `x` over `0..2^(n-1)`
 /// therefore enumerates exactly the indices with bit `bit` clear, in order.
@@ -584,23 +570,6 @@ pub fn apply_dense3(amps: &mut [C64], q2: usize, q1: usize, q0: usize, m: &[C64;
     }
 }
 
-/// `dst += scale * src` over complex slices — the axpy inner step of the
-/// MPS two-site theta contraction, runtime-dispatched to AVX2+FMA like the
-/// dense kernels (no per-call tier counter: callers run many axpys per
-/// logical contraction and count once via [`avx2_fma_active`]).
-pub fn axpy(dst: &mut [C64], src: &[C64], scale: C64) {
-    debug_assert_eq!(dst.len(), src.len());
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_fma_available() {
-        // SAFETY: gated on runtime AVX2+FMA detection.
-        unsafe { simd::axpy_avx(dst, src, scale) };
-        return;
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d += scale * *s;
-    }
-}
-
 #[inline(always)]
 fn sort2(a: usize, b: usize) -> (usize, usize) {
     if a < b {
@@ -1083,31 +1052,6 @@ mod simd {
             }
         }
     }
-
-    /// Packed complex axpy for [`super::axpy`]: `dst += a * src`, two
-    /// amplitudes per product, scalar tail for odd lengths.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_avx(dst: &mut [C64], src: &[C64], a: C64) {
-        let ar = _mm256_set1_pd(a.re);
-        let ai = _mm256_set1_pd(a.im);
-        let n = dst.len() & !1;
-        let dp = dst.as_mut_ptr().cast::<f64>();
-        let sp = src.as_ptr().cast::<f64>();
-        let mut i = 0;
-        while i < n {
-            let y = _mm256_loadu_pd(sp.add(2 * i));
-            let ys = _mm256_permute_pd(y, 0b0101);
-            let d = _mm256_loadu_pd(dp.add(2 * i));
-            _mm256_storeu_pd(dp.add(2 * i), _mm256_add_pd(d, cmul2(y, ys, ar, ai)));
-            i += 2;
-        }
-        if n < dst.len() {
-            dst[n] += a * src[n];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1354,21 +1298,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn axpy_accumulates_like_the_scalar_formula() {
-        for len in [0usize, 1, 2, 3, 8, 17] {
-            let src = test_amps(5)[..len].to_vec();
-            let mut dst = test_amps(5)[5..5 + len].to_vec();
-            let mut want = dst.clone();
-            let a = C64::new(0.37, -1.21);
-            for (w, s) in want.iter_mut().zip(&src) {
-                *w += a * *s;
-            }
-            axpy(&mut dst, &src, a);
-            assert_close(&dst, &want);
         }
     }
 }

@@ -1,12 +1,12 @@
 //! # qsim — quantum circuit simulators with noise
 //!
-//! Three complementary backends behind one dispatch layer, plus the noise
-//! machinery the QEC experiments need:
+//! Two complementary exact backends behind one dispatch layer, plus the
+//! noise machinery the QEC experiments need:
 //!
 //! * [`backend`] — backend dispatch: the [`backend::BackendChoice`]
-//!   selector, the auto-dispatch rules over circuit size, Clifford-ness
-//!   and interaction range, and the typed [`backend::SimError`] the
-//!   fallible execution APIs return.
+//!   selector, the auto-dispatch rules over circuit size and
+//!   Clifford-ness, and the typed [`backend::SimError`] the fallible
+//!   execution APIs return.
 //! * [`state`] — a dense state-vector simulator (practical to ~20 qubits)
 //!   used for semantic grading and the Deutsch–Jozsa noise experiments.
 //! * [`kernels`] — the specialized gate-application kernels behind
@@ -20,9 +20,6 @@
 //! * [`frame`] — Pauli-frame shot sampling: the tableau runs once per job
 //!   for a reference sample, and each shot propagates only a Pauli frame,
 //!   bit-identical to a full tableau shot.
-//! * [`mps`] — a matrix-product-state simulator with bounded bond
-//!   dimension χ and truncated-SVD two-site updates, for low-entanglement
-//!   *non-Clifford* circuits past the dense qubit cap.
 //! * [`noise`] — Monte-Carlo Pauli/readout noise channels and the
 //!   [`noise::NoiseModel`] aggregate.
 //! * [`profiles`] — named noise profiles, including the IBM-Brisbane-like
@@ -35,8 +32,8 @@
 //!   gate classification entirely.
 //! * [`exec`] — the circuit executor: shot sampling, trajectories,
 //!   conditionals and mid-circuit measurement, driven by cached plans on
-//!   both the noiseless and the noisy dense paths and by the tableau or
-//!   MPS engine directly otherwise. Configured through the typed
+//!   both the noiseless and the noisy dense paths and by the tableau
+//!   directly otherwise. Configured through the typed
 //!   [`exec::ExecutorConfig`].
 //! * [`lru`] — the generic least-recently-used map with built-in hit,
 //!   miss and eviction counters behind every cache in the workspace.
@@ -72,7 +69,6 @@ pub mod frame;
 pub mod job;
 pub mod kernels;
 pub mod lru;
-pub mod mps;
 pub mod noise;
 pub mod observable;
 pub mod plan;

@@ -1,7 +1,7 @@
 //! Packed multi-word classical-outcome registers.
 //!
 //! [`OutcomeWord`] is the currency every simulation layer exchanges: the
-//! stabilizer/dense/MPS trajectory loops write measurement bits into one,
+//! stabilizer and dense trajectory loops write measurement bits into one,
 //! [`crate::dist::Counts`] tallies them, the executor's parallel shot
 //! chunks merge them, and `qec`'s space-time decoder unpacks them. It packs
 //! classical bit `i` into bit `i % 64` of 64-bit word `i / 64`:

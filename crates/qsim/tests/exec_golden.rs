@@ -8,13 +8,14 @@
 //! count, a chunk seed or the RNG consumption order fails here even when
 //! every path moved together.
 //!
-//! One circuit per shot source — dense sampling, MPS sampling, the planned
-//! dense trajectory (mid-circuit measure, reset, conditional 1q and 2q
-//! gates), noisy dense replay, the tableau engine (a noisy d=3 surface-code
-//! memory circuit) and MPS trajectories — at `2 * SHOT_CHUNK + 37` shots
-//! (two full chunks and a ragged tail), on 1, 2 and 4 worker threads,
-//! through both `try_run` and one `try_run_batch` over all six circuits
-//! per noise model.
+//! One circuit per shot source — dense sampling, the planned dense
+//! trajectory (mid-circuit measure, reset, conditional 1q and 2q gates),
+//! noisy dense replay and the tableau engine (a noisy d=3 surface-code
+//! memory circuit) — at `2 * SHOT_CHUNK + 37` shots (two full chunks and a
+//! ragged tail), on 1, 2 and 4 worker threads, through both `try_run` and
+//! one `try_run_batch` over all four circuits per noise model. Each case
+//! keeps the seed it was recorded with, so its digest does not depend on
+//! which other cases share the batch.
 
 use qcir::circuit::Circuit;
 use qcir::gate::Gate;
@@ -57,20 +58,6 @@ fn sampling_circuit() -> Circuit {
     qc
 }
 
-/// A measure-at-end circuit for the MPS sampler.
-fn mps_sampling_circuit() -> Circuit {
-    let mut qc = Circuit::new(6, 6);
-    for q in 0..6 {
-        qc.h(q).t(q);
-    }
-    for q in 0..5 {
-        qc.cx(q, q + 1);
-    }
-    qc.rx(0.3, 2).crz(0.9, 2, 3);
-    qc.measure_all();
-    qc
-}
-
 /// Noiseless dense with mid-circuit measurement, a reset and conditional
 /// one- and two-qubit gates: the planned trajectory path.
 fn planned_circuit() -> Circuit {
@@ -99,31 +86,21 @@ fn noisy_circuit() -> Circuit {
     qc
 }
 
-/// Mid-circuit measurement, a conditional and a reset on the MPS engine.
-fn mps_trajectory_circuit() -> Circuit {
-    let mut qc = Circuit::new(4, 4);
-    qc.h(0).t(0).cx(0, 1).ry(0.5, 2).cx(1, 2).measure(1, 1);
-    qc.cond_gate(Gate::X, &[3], 1, true);
-    qc.reset(1);
-    qc.h(1).cx(2, 3).t(3);
-    qc.measure_all();
-    qc
-}
-
 struct Case {
     name: &'static str,
     circuit: Arc<Circuit>,
     backend: BackendChoice,
     noisy: bool,
+    seed: u64,
 }
 
 fn cases() -> Vec<Case> {
-    let mps = BackendChoice::Mps { max_bond: 8 };
-    let case = |name, circuit, backend, noisy| Case {
+    let case = |name, circuit, backend, noisy, seed| Case {
         name,
         circuit: Arc::new(circuit),
         backend,
         noisy,
+        seed,
     };
     vec![
         case(
@@ -131,22 +108,29 @@ fn cases() -> Vec<Case> {
             sampling_circuit(),
             BackendChoice::Dense,
             false,
+            100,
         ),
-        case("mps_sampling", mps_sampling_circuit(), mps, false),
         case(
             "planned_trajectory",
             planned_circuit(),
             BackendChoice::Dense,
             false,
+            102,
         ),
-        case("noisy_replay", noisy_circuit(), BackendChoice::Dense, true),
+        case(
+            "noisy_replay",
+            noisy_circuit(),
+            BackendChoice::Dense,
+            true,
+            103,
+        ),
         case(
             "tableau_memory",
             SurfaceCode::new(3).memory_circuit(2).circuit,
             BackendChoice::Tableau,
             true,
+            104,
         ),
-        case("mps_trajectory", mps_trajectory_circuit(), mps, false),
     ]
 }
 
@@ -160,25 +144,19 @@ fn noise(noisy: bool) -> NoiseModel {
 
 /// Digests recorded before the executor's lowering and scheduler were
 /// unified; `(run, digest)` with `run` naming the path and circuit.
-const PINNED: [(&str, &str); 18] = [
+const PINNED: [(&str, &str); 12] = [
     ("try_run/dense_sampling", "962b9d0eee14b26d"),
-    ("try_run/mps_sampling", "677ad92394912f12"),
     ("try_run/planned_trajectory", "487c282f7c9b5bed"),
     ("try_run/noisy_replay", "523c14249803bba1"),
     ("try_run/tableau_memory", "3be064bc9eceffbb"),
-    ("try_run/mps_trajectory", "e9f12c4263ef45d2"),
     ("batch_ideal/dense_sampling", "962b9d0eee14b26d"),
-    ("batch_ideal/mps_sampling", "677ad92394912f12"),
     ("batch_ideal/planned_trajectory", "487c282f7c9b5bed"),
     ("batch_ideal/noisy_replay", "729fa9ac43d2ad4f"),
     ("batch_ideal/tableau_memory", "7e07cccaff7eaa88"),
-    ("batch_ideal/mps_trajectory", "e9f12c4263ef45d2"),
     ("batch_noisy/dense_sampling", "4faf780fbd2862e6"),
-    ("batch_noisy/mps_sampling", "faba5f1a01a53214"),
     ("batch_noisy/planned_trajectory", "327a45d9a5e7111f"),
     ("batch_noisy/noisy_replay", "523c14249803bba1"),
     ("batch_noisy/tableau_memory", "3be064bc9eceffbb"),
-    ("batch_noisy/mps_trajectory", "3fa631661362f774"),
 ];
 
 #[test]
@@ -187,13 +165,13 @@ fn executor_counts_match_the_pinned_digests() {
     let mut seen: Vec<(String, String)> = Vec::new();
     for threads in [1usize, 2, 4] {
         let mut run_digests = Vec::new();
-        for (i, case) in cases.iter().enumerate() {
+        for case in &cases {
             let counts = ExecutorConfig::new()
                 .noise(noise(case.noisy))
                 .backend(case.backend)
                 .threads(threads)
                 .build()
-                .try_run(&case.circuit, SHOTS, 100 + i as u64)
+                .try_run(&case.circuit, SHOTS, case.seed)
                 .unwrap_or_else(|e| panic!("{}: {e}", case.name));
             assert_eq!(counts.shots(), SHOTS, "{}", case.name);
             run_digests.push((format!("try_run/{}", case.name), digest(&counts)));
@@ -201,9 +179,8 @@ fn executor_counts_match_the_pinned_digests() {
         for noisy in [false, true] {
             let specs: Vec<JobSpec> = cases
                 .iter()
-                .enumerate()
-                .map(|(i, case)| {
-                    JobSpec::new(Arc::clone(&case.circuit), SHOTS, 100 + i as u64)
+                .map(|case| {
+                    JobSpec::new(Arc::clone(&case.circuit), SHOTS, case.seed)
                         .with_backend(case.backend)
                 })
                 .collect();

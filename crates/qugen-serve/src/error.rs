@@ -16,15 +16,20 @@ use std::fmt;
 pub enum ServeError {
     /// The line was not valid JSON.
     Parse(JsonError),
-    /// The line was JSON but not a well-formed request (unknown op,
-    /// missing or mistyped field, …).
+    /// The line ran past [`crate::proto::MAX_LINE_BYTES`] bytes without a
+    /// newline; the server skipped the rest of it unread.
+    LineTooLong {
+        /// The byte limit in force.
+        limit: usize,
+    },
+    /// The line was not a well-formed request (not UTF-8, unknown op,
+    /// missing, mistyped or retired field, …).
     BadRequest(String),
     /// The submitted program failed to parse or check; the diagnostics
     /// carry the compiler's line/column findings.
     Check(Vec<Diagnostic>),
-    /// The circuit checked but the simulator refused it at submit time
-    /// (qubit cap, non-Clifford gate on tableau, …) or at run time
-    /// (truncation budget).
+    /// The circuit checked but the simulator refused it (qubit cap,
+    /// non-Clifford gate on tableau, …).
     Sim(SimError),
     /// The bounded work queue is full; the job was **not** accepted.
     /// Back off and resubmit — this is load shedding, not failure.
@@ -46,6 +51,7 @@ impl ServeError {
     pub fn code(&self) -> &'static str {
         match self {
             ServeError::Parse(_) => "parse",
+            ServeError::LineTooLong { .. } => "line_too_long",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::Check(_) => "check",
             ServeError::Sim(_) => "sim",
@@ -60,7 +66,8 @@ impl ServeError {
     ///
     /// Structured payloads ride along per class — simulator refusals carry
     /// [`SimError::code`] plus its fields under `"sim"`, check failures
-    /// carry a `"diagnostics"` array, `queue_full` carries `"capacity"` —
+    /// carry a `"diagnostics"` array, `queue_full` carries `"capacity"`,
+    /// `line_too_long` carries `"limit"` —
     /// so clients never have to parse the message text.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
@@ -71,6 +78,9 @@ impl ServeError {
         match self {
             ServeError::Parse(e) => {
                 fields.push(("offset", Json::Int(e.offset as i128)));
+            }
+            ServeError::LineTooLong { limit } => {
+                fields.push(("limit", Json::Int(*limit as i128)));
             }
             ServeError::Check(diags) => {
                 let rendered = diags
@@ -118,15 +128,6 @@ fn sim_error_payload(e: &SimError) -> Json {
         SimError::NonCliffordGate { gate } => {
             fields.push(("gate", Json::Str(gate.to_string())));
         }
-        SimError::TruncationBudgetExceeded {
-            max_bond,
-            error_bound,
-            budget,
-        } => {
-            fields.push(("max_bond", Json::Int(*max_bond as i128)));
-            fields.push(("error_bound", Json::Float(*error_bound)));
-            fields.push(("budget", Json::Float(*budget)));
-        }
     }
     obj(fields)
 }
@@ -135,6 +136,9 @@ impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Parse(e) => write!(f, "invalid JSON: {e}"),
+            ServeError::LineTooLong { limit } => {
+                write!(f, "request line longer than {limit} bytes; skipped")
+            }
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::Check(diags) => {
                 let errors = diags.len();
@@ -173,6 +177,7 @@ mod tests {
                 message: "x".into(),
                 offset: 3,
             }),
+            ServeError::LineTooLong { limit: 8 },
             ServeError::BadRequest("missing field".into()),
             ServeError::Check(vec![]),
             ServeError::Sim(SimError::QubitCapExceeded {
@@ -189,6 +194,7 @@ mod tests {
             codes,
             [
                 "parse",
+                "line_too_long",
                 "bad_request",
                 "check",
                 "sim",
@@ -202,17 +208,17 @@ mod tests {
     #[test]
     fn sim_refusals_keep_their_machine_readable_payload() {
         let e = ServeError::Sim(SimError::QubitCapExceeded {
-            backend: "mps",
-            num_qubits: 2000,
-            cap: 1024,
+            backend: "tableau",
+            num_qubits: 5000,
+            cap: 4096,
         });
         let json = e.to_json();
         assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
         assert_eq!(json.get("error").unwrap().as_str(), Some("sim"));
         let sim = json.get("sim").unwrap();
         assert_eq!(sim.get("code").unwrap().as_str(), Some("qubit_cap"));
-        assert_eq!(sim.get("backend").unwrap().as_str(), Some("mps"));
-        assert_eq!(sim.get("cap").unwrap().as_u64(), Some(1024));
+        assert_eq!(sim.get("backend").unwrap().as_str(), Some("tableau"));
+        assert_eq!(sim.get("cap").unwrap().as_u64(), Some(4096));
     }
 
     #[test]

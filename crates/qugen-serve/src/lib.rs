@@ -28,7 +28,7 @@
 //!
 //! The service adds *no* nondeterminism on top of the executor: a job's
 //! counts depend only on its [`qsim::job::JobKey`] (circuit fingerprint,
-//! shots, seed, effective backend, effective truncation budget), never on
+//! shots, seed, effective backend), never on
 //! submission order, worker count, queue pressure, or cache state. A
 //! `qugen-serve` deployment therefore returns bit-identical counts to a
 //! local [`qsim::exec::Executor`] run of the same spec — the property the

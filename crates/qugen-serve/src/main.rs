@@ -6,9 +6,10 @@
 //! ```
 //!
 //! Workers run [`ServerConfig::default`]'s executor (auto dispatch, one
-//! simulator thread each); clients pin a backend or a truncation budget
-//! per job with the wire's `backend` and `budget` fields. Flags shape the
-//! service around it.
+//! simulator thread each); clients pin a backend per job with the wire's
+//! `backend` field. Request lines are read under a 1 MiB cap
+//! ([`qugen_serve::proto::MAX_LINE_BYTES`]). Flags shape the service
+//! around it.
 
 use qugen_serve::server::{Server, ServerConfig};
 use std::net::TcpListener;

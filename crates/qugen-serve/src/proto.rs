@@ -1,29 +1,38 @@
 //! The wire protocol: typed requests and response shapes.
 //!
 //! Transport is line-delimited JSON — one request object per line, one
-//! response object per line, over TCP or stdio. Every request carries an
-//! `"op"` discriminant:
+//! response object per line, over TCP or stdio. A line may hold at most
+//! [`MAX_LINE_BYTES`] bytes before its newline; a longer one is answered
+//! with a typed `line_too_long` refusal and the rest of it is skipped
+//! unread, and a line that is not UTF-8 gets a `bad_request`. Every
+//! request carries an `"op"` discriminant:
 //!
 //! | op | fields | reply |
 //! |---|---|---|
-//! | `submit` | `source` (≤ [`MAX_CLBITS`] clbits), `shots` (1 ..= [`MAX_SHOTS`]), `seed`, `backend?`, `budget?`, `tag?` | `{ok,job,status,cached}` |
+//! | `submit` | `source` (≤ [`MAX_CLBITS`] clbits), `shots` (1 ..= [`MAX_SHOTS`]), `seed`, `backend?`, `tag?` | `{ok,job,status,cached}` |
 //! | `status` | `job` | `{ok,job,status}` |
 //! | `result` | `job`, `wait?` | `{ok,job,status,counts,backend,cached,shots,clbits}` |
 //! | `stats` | — | queue/cache/worker gauges |
 //! | `metrics` | — | `{ok,metrics}`: full process telemetry snapshot |
 //! | `shutdown` | — | `{ok:true}` then drain |
 //!
-//! `budget` accepts a number or the string `"inf"` (JSON has no infinity
-//! literal); `backend` is the `auto|dense|tableau|mps[:χ]` selector
-//! [`BackendChoice`] parses everywhere else. Counts are rendered as a
-//! bitstring→count object in canonical (sorted) order, so encoded replies
-//! compare byte-for-byte across clients and runs.
+//! `backend` is the `auto|dense|tableau` selector [`BackendChoice`] parses
+//! everywhere else; any other value, and a submit that still carries the
+//! retired `budget` field, is refused with a `bad_request`. Counts are
+//! rendered as a bitstring→count object in canonical (sorted) order, so
+//! encoded replies compare byte-for-byte across clients and runs.
 
 use crate::error::ServeError;
 use qsim::backend::BackendChoice;
 use qsim::dist::Counts;
 use qugen_wire::codec::Json;
 use std::collections::BTreeMap;
+
+/// Longest request line the server reads (1 MiB, not counting the
+/// newline). A line with no newline would otherwise be buffered without
+/// bound; past this length the server refuses it with
+/// [`ServeError::LineTooLong`] and discards the rest unbuffered.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Largest `shots` a submit may ask for (2^20). A job's run time grows
 /// with its shot count, so an unbounded count would let one request pin a
@@ -50,8 +59,6 @@ pub enum Request {
         seed: u64,
         /// Per-job backend override (`None` inherits the server's).
         backend: Option<BackendChoice>,
-        /// Per-job truncation-budget override (`None` inherits).
-        budget: Option<f64>,
         /// Opaque client tag, echoed back in replies about this job.
         tag: Option<String>,
     },
@@ -111,7 +118,12 @@ impl Request {
                         })?),
                         Some(_) => return Err(bad("`backend` must be a string")),
                     };
-                let budget = parse_budget(value)?;
+                if value.get("budget").is_some() {
+                    return Err(bad(
+                        "`budget` is no longer accepted: both engines are exact, \
+                         so there is no truncation to bound",
+                    ));
+                }
                 let tag = match value.get("tag") {
                     None | Some(Json::Null) => None,
                     Some(Json::Str(s)) => Some(s.clone()),
@@ -122,7 +134,6 @@ impl Request {
                     shots,
                     seed,
                     backend,
-                    budget,
                     tag,
                 })
             }
@@ -165,19 +176,6 @@ fn require_u64(value: &Json, field: &str) -> Result<u64, ServeError> {
     })
 }
 
-/// `budget`: a non-negative finite number, or the string `"inf"` for an
-/// unbounded budget (JSON has no infinity literal).
-fn parse_budget(value: &Json) -> Result<Option<f64>, ServeError> {
-    match value.get("budget") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) if s == "inf" => Ok(Some(f64::INFINITY)),
-        Some(j) => match j.as_f64() {
-            Some(b) if b >= 0.0 && b.is_finite() => Ok(Some(b)),
-            _ => Err(bad("`budget` must be a non-negative number or \"inf\"")),
-        },
-    }
-}
-
 /// Counts as a canonical bitstring→count JSON object.
 ///
 /// Keys sort lexicographically in the [`qugen_wire::Json::Obj`] map, so
@@ -203,7 +201,7 @@ mod tests {
     fn submit_parses_with_and_without_options() {
         let full = parse(
             "{\"op\":\"submit\",\"source\":\"qreg q[1];\",\"shots\":128,\"seed\":7,\
-             \"backend\":\"mps:32\",\"budget\":\"inf\",\"tag\":\"t0\"}",
+             \"backend\":\"tableau\",\"tag\":\"t0\"}",
         )
         .unwrap();
         assert_eq!(
@@ -212,8 +210,7 @@ mod tests {
                 source: "qreg q[1];".into(),
                 shots: 128,
                 seed: 7,
-                backend: Some(BackendChoice::Mps { max_bond: 32 }),
-                budget: Some(f64::INFINITY),
+                backend: Some(BackendChoice::Tableau),
                 tag: Some("t0".into()),
             }
         );
@@ -225,7 +222,6 @@ mod tests {
                 shots: 1,
                 seed: 0,
                 backend: None,
-                budget: None,
                 tag: None,
             }
         );
@@ -255,15 +251,32 @@ mod tests {
                  \"backend\":\"warp\"}",
                 "`backend`",
             ),
-            (
-                "{\"op\":\"submit\",\"source\":\"s\",\"shots\":1,\"seed\":0,\
-                 \"budget\":-0.5}",
-                "`budget`",
-            ),
         ] {
             let err = parse(line).unwrap_err();
             assert_eq!(err.code(), "bad_request", "{line}");
             assert!(err.to_string().contains(needle), "{line} → {err}");
+        }
+    }
+
+    #[test]
+    fn mps_backends_and_budgets_are_refused() {
+        for (line, message) in [
+            (
+                "{\"op\":\"submit\",\"source\":\"s\",\"shots\":1,\"seed\":0,\
+                 \"backend\":\"mps:32\"}",
+                "bad request: invalid `backend`: unknown backend `mps:32` \
+                 (expected auto|dense|tableau)",
+            ),
+            (
+                "{\"op\":\"submit\",\"source\":\"s\",\"shots\":1,\"seed\":0,\
+                 \"budget\":\"inf\"}",
+                "bad request: `budget` is no longer accepted: both engines are exact, \
+                 so there is no truncation to bound",
+            ),
+        ] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(err.code(), "bad_request", "{line}");
+            assert_eq!(err.to_string(), message);
         }
     }
 

@@ -16,10 +16,10 @@
 //!
 //! Validation is front-loaded: a program that cannot parse, check, or
 //! resolve onto a backend is refused in the submit reply itself, so
-//! clients never poll a job that was doomed from the start. Run-time
-//! failures still exist (an MPS truncation budget trips only while
-//! executing) and surface as `Failed` with the same typed
-//! [`SimError`](qsim::backend::SimError) payload.
+//! clients never poll a job that was doomed from the start. Both engines
+//! are exact, so a job that resolves also runs; `Failed` remains the
+//! state a worker records should [`Executor::try_run_job`] still return
+//! a typed [`SimError`](qsim::backend::SimError).
 //!
 //! # Determinism and caching
 //!
@@ -33,8 +33,9 @@
 //!
 //! # Bounded everything
 //!
-//! Every resource a client can consume is bounded: the work queue
-//! refuses past its capacity, the result cache evicts LRU, terminal
+//! Every resource a client can consume is bounded: request lines are read
+//! under [`MAX_LINE_BYTES`] (a longer line is refused and skipped unread),
+//! the work queue refuses past its capacity, the result cache evicts LRU, terminal
 //! jobs are retained in a bounded window
 //! ([`ServerConfig::terminal_retention`]) so the job table cannot grow
 //! with lifetime submissions, and `result` waits park in finite
@@ -49,7 +50,7 @@
 
 use crate::cache::{CachedResult, ResultCache};
 use crate::error::ServeError;
-use crate::proto::{counts_to_json, Request, MAX_CLBITS};
+use crate::proto::{counts_to_json, Request, MAX_CLBITS, MAX_LINE_BYTES};
 use crate::queue::BoundedQueue;
 use qsim::backend::{self, BackendKind};
 use qsim::exec::{recommended_threads, Executor, ExecutorConfig};
@@ -59,7 +60,7 @@ use qugen_telemetry::metrics::{self as tmetrics, Counter, Gauge, Histogram};
 use qugen_telemetry::trace;
 use qugen_wire::codec::{obj, Json};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
@@ -186,8 +187,8 @@ enum JobState {
         result: Arc<CachedResult>,
         cached: bool,
     },
-    /// Finished with a typed run-time error (e.g. an MPS truncation
-    /// budget tripped while executing).
+    /// Finished with a typed run-time error from
+    /// [`Executor::try_run_job`].
     Failed(ServeError),
 }
 
@@ -343,9 +344,8 @@ impl Server {
                 shots,
                 seed,
                 backend,
-                budget,
                 tag,
-            } => match self.submit(&source, shots, seed, backend, budget, tag) {
+            } => match self.submit(&source, shots, seed, backend, tag) {
                 Ok(json) => json,
                 Err(e) => e.to_json(),
             },
@@ -377,7 +377,6 @@ impl Server {
         shots: u64,
         seed: u64,
         backend_override: Option<backend::BackendChoice>,
-        budget: Option<f64>,
         tag: Option<String>,
     ) -> Result<Json, ServeError> {
         let inner = &self.inner;
@@ -401,13 +400,10 @@ impl Server {
         if let Some(choice) = backend_override {
             spec = spec.with_backend(choice);
         }
-        if let Some(b) = budget {
-            spec = spec.with_budget(b);
-        }
         let config = inner.exec.config();
         let choice = spec.effective_backend(config.backend);
         let resolved = backend::resolve(choice, spec.circuit())?;
-        let key = spec.key(config.backend, config.truncation_budget);
+        let key = spec.key(config.backend);
 
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
         // Cache hit: the job is born terminal, no execution, no queue
@@ -610,19 +606,19 @@ impl Server {
     /// Serves line-delimited JSON over a reader/writer pair (the
     /// `--stdio` transport) until EOF or a `shutdown` request.
     ///
+    /// Lines are read under [`MAX_LINE_BYTES`]: an over-long line gets a
+    /// `line_too_long` reply and a non-UTF-8 line a `bad_request`, and the
+    /// session goes on with the next line.
+    ///
     /// # Errors
     ///
     /// Propagates write errors; a read error ends the loop cleanly.
     pub fn serve_lines(&self, input: impl BufRead, mut output: impl Write) -> std::io::Result<()> {
-        for line in input.lines() {
-            let line = match line {
-                Ok(l) => l,
-                Err(_) => break,
-            };
-            if line.trim().is_empty() {
+        let mut reader = LineReader::new(input);
+        while let Ok(Some(line)) = reader.next_line() {
+            let Some(response) = self.respond(line) else {
                 continue;
-            }
-            let response = self.handle_line(&line);
+            };
             writeln!(output, "{response}")?;
             output.flush()?;
             if self.is_shutting_down() {
@@ -630,6 +626,82 @@ impl Server {
             }
         }
         Ok(())
+    }
+
+    /// The response line for one bounded read, or `None` for a blank line.
+    fn respond(&self, line: Result<String, ServeError>) -> Option<String> {
+        match line {
+            Ok(text) if text.trim().is_empty() => None,
+            Ok(text) => Some(self.handle_line(text.trim_end())),
+            Err(refusal) => Some(refusal.to_json().encode()),
+        }
+    }
+}
+
+/// Reads request lines of at most [`MAX_LINE_BYTES`] bytes, the one line
+/// reader both transports share. Bytes are read with `read_until` through
+/// `take`, so no line buffers more than the cap plus its newline; the
+/// rest of an over-long line is skipped straight out of the input's own
+/// buffer. A partial line survives a read error (the TCP transport's
+/// read timeout) and the next call resumes it.
+struct LineReader<R> {
+    input: R,
+    line: Vec<u8>,
+    /// Skipping the tail of an over-long line.
+    skipping: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(input: R) -> Self {
+        LineReader {
+            input,
+            line: Vec::new(),
+            skipping: false,
+        }
+    }
+
+    /// The next line without its newline, `Err` with the typed refusal
+    /// when it is over-long or not UTF-8, or `None` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// The input's read errors; the call can be repeated after one.
+    fn next_line(&mut self) -> std::io::Result<Option<Result<String, ServeError>>> {
+        while self.skipping {
+            let chunk = match self.input.fill_buf() {
+                Ok(chunk) => chunk,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if chunk.is_empty() {
+                return Ok(None);
+            }
+            let (used, done) = match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => (i + 1, true),
+                None => (chunk.len(), false),
+            };
+            self.input.consume(used);
+            self.skipping = !done;
+        }
+        let room = (MAX_LINE_BYTES + 1 - self.line.len()) as u64;
+        (&mut self.input)
+            .take(room)
+            .read_until(b'\n', &mut self.line)?;
+        if self.line.last() == Some(&b'\n') {
+            self.line.pop();
+        } else if self.line.len() > MAX_LINE_BYTES {
+            self.line.clear();
+            self.skipping = true;
+            return Ok(Some(Err(ServeError::LineTooLong {
+                limit: MAX_LINE_BYTES,
+            })));
+        } else if self.line.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(
+            String::from_utf8(std::mem::take(&mut self.line))
+                .map_err(|_| ServeError::BadRequest("request line is not valid UTF-8".to_string())),
+        ))
     }
 }
 
@@ -714,20 +786,16 @@ fn handle_connection(server: &Arc<Server>, stream: TcpStream) -> std::io::Result
     // Finite read timeout so this thread notices server shutdown even on
     // an idle connection.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = stream;
-    let mut line = String::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
+        match reader.next_line() {
+            Ok(None) => return Ok(()), // client hung up
+            Ok(Some(line)) => {
+                if let Some(response) = server.respond(line) {
+                    writeln!(writer, "{response}")?;
+                    writer.flush()?;
                 }
-                let response = server.handle_line(line.trim_end());
-                writeln!(writer, "{response}")?;
-                writer.flush()?;
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -1209,5 +1277,106 @@ mod tests {
             &server.handle_line(&format!("{{\"op\":\"result\",\"job\":{id},\"wait\":true}}")),
         );
         assert_eq!(result.get("status").unwrap().as_str(), Some("done"));
+    }
+
+    /// Runs `input` through [`Server::serve_lines`] and returns the
+    /// parsed replies.
+    fn serve_stdio(input: Vec<u8>) -> Vec<Json> {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let mut output = Vec::new();
+        server
+            .serve_lines(std::io::Cursor::new(input), &mut output)
+            .unwrap();
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(parse)
+            .collect()
+    }
+
+    #[test]
+    fn over_long_and_non_utf8_lines_are_refused_and_serving_goes_on() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 1000];
+        input.push(b'\n');
+        input.extend_from_slice(b"{\"op\":\"stats\xff\"}\n");
+        input.extend_from_slice(submit_line(16, 3).as_bytes());
+        input.push(b'\n');
+        let replies = serve_stdio(input);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_eq!(
+            replies[0].get("error").unwrap().as_str(),
+            Some("line_too_long")
+        );
+        assert_eq!(
+            replies[0].get("limit").unwrap().as_u64(),
+            Some(MAX_LINE_BYTES as u64)
+        );
+        assert_eq!(
+            replies[1].get("error").unwrap().as_str(),
+            Some("bad_request")
+        );
+        assert_eq!(replies[2].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(replies[2].get("status").unwrap().as_str(), Some("queued"));
+    }
+
+    #[test]
+    fn the_line_cap_is_inclusive() {
+        let padded = |len: usize| {
+            let mut line = b"{\"op\":\"stats\"}".to_vec();
+            line.resize(len, b' ');
+            line.push(b'\n');
+            line
+        };
+        let mut input = padded(MAX_LINE_BYTES);
+        input.extend(padded(MAX_LINE_BYTES + 1));
+        // An over-long final line with no newline is refused too.
+        input.extend(vec![b'y'; MAX_LINE_BYTES + 1]);
+        let replies = serve_stdio(input);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+        assert_eq!(replies[0].get("ok"), Some(&Json::Bool(true)));
+        assert_eq!(
+            replies[1].get("error").unwrap().as_str(),
+            Some("line_too_long")
+        );
+        assert_eq!(
+            replies[2].get("error").unwrap().as_str(),
+            Some("line_too_long")
+        );
+    }
+
+    /// A reader that yields its chunks in order, an `Err` chunk as a
+    /// `WouldBlock` read error (a read timeout on the TCP transport).
+    struct Stuttering(VecDeque<Option<&'static [u8]>>);
+
+    impl Read for Stuttering {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                None => Ok(0),
+                Some(None) => Err(std::io::ErrorKind::WouldBlock.into()),
+                Some(Some(chunk)) => {
+                    buf[..chunk.len()].copy_from_slice(chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_split_by_a_read_timeout_is_resumed() {
+        let input = Stuttering(VecDeque::from([
+            Some(&b"{\"op\":"[..]),
+            None,
+            Some(&b"\"stats\"}\nlast"[..]),
+        ]));
+        let mut reader = LineReader::new(BufReader::new(input));
+        let timeout = reader.next_line().unwrap_err();
+        assert_eq!(timeout.kind(), std::io::ErrorKind::WouldBlock);
+        let line = reader.next_line().unwrap().unwrap().unwrap();
+        assert_eq!(line, "{\"op\":\"stats\"}");
+        assert_eq!(reader.next_line().unwrap().unwrap().unwrap(), "last");
+        assert!(reader.next_line().unwrap().is_none());
     }
 }

@@ -1,10 +1,10 @@
-//! Golden wire replies: the exact bytes `qugen-serve` answers for three
-//! jobs — a job that runs to `done`, a repeat of it served from the
-//! result cache, and a job that fails at run time (an MPS truncation
-//! budget of 0 at bond dimension 1 on an entangling circuit, which only
-//! trips while executing). Job ids, counts and error payloads are all
-//! deterministic, so any change in lifecycle bookkeeping, cache plumbing
-//! or rendering that moves a byte shows up here.
+//! Golden wire replies: the exact bytes `qugen-serve` answers for a job
+//! that runs to `done`, a repeat of it served from the result cache, and
+//! two submits refused before they become jobs — one naming the retired
+//! `mps` backend and one carrying the retired `budget` field. Job ids,
+//! counts and error payloads are all deterministic, so any change in
+//! lifecycle bookkeeping, cache plumbing or rendering that moves a byte
+//! shows up here.
 
 use qugen_serve::server::{Server, ServerConfig};
 use qugen_wire::Json;
@@ -23,7 +23,7 @@ fn submit(source: &str, extra: &str) -> String {
 }
 
 #[test]
-fn done_cached_and_failed_replies_are_byte_stable() {
+fn done_cached_and_refused_replies_are_byte_stable() {
     let server = Server::new(ServerConfig {
         workers: 1,
         ..ServerConfig::default()
@@ -50,19 +50,12 @@ fn done_cached_and_failed_replies_are_byte_stable() {
             r#"{"backend":"dense","job":2,"ok":true,"status":"done"}"#,
         ),
         (
-            submit(
-                GHZ_T,
-                "\"shots\":16,\"seed\":3,\"backend\":\"mps:1\",\"budget\":0,\"tag\":\"doomed\"",
-            ),
-            r#"{"cached":false,"job":3,"ok":true,"status":"queued","tag":"doomed"}"#,
+            submit(GHZ_T, "\"shots\":16,\"seed\":3,\"backend\":\"mps:1\""),
+            r#"{"error":"bad_request","message":"bad request: invalid `backend`: unknown backend `mps:1` (expected auto|dense|tableau)","ok":false}"#,
         ),
         (
-            r#"{"op":"result","job":3,"wait":true}"#.to_string(),
-            r#"{"error":"sim","job":3,"message":"simulator refused: mps run at bond dimension 1 reached a truncation-infidelity bound of 1.000e0, over the 0.000e0 truncation budget","ok":false,"sim":{"budget":0.0,"code":"truncation_budget","error_bound":1.0,"max_bond":1},"status":"failed","tag":"doomed"}"#,
-        ),
-        (
-            r#"{"op":"status","job":3}"#.to_string(),
-            r#"{"backend":"mps","job":3,"ok":true,"status":"failed"}"#,
+            submit(GHZ_T, "\"shots\":16,\"seed\":3,\"budget\":0"),
+            r#"{"error":"bad_request","message":"bad request: `budget` is no longer accepted: both engines are exact, so there is no truncation to bound","ok":false}"#,
         ),
     ];
     for (request, expected) in exchanges {

@@ -1,11 +1,9 @@
 //! Backend-parity and parallel-determinism properties of the unified
 //! simulation-backend layer.
 //!
-//! * Dense, tableau and MPS backends must agree pairwise on the circuit
-//!   classes they share: all three on random Clifford circuits, dense and
-//!   MPS (at untruncated χ) on random general circuits — exactly when
-//!   every measurement is determined, and within sampling tolerance
-//!   otherwise.
+//! * The dense and tableau backends must agree on the circuit class they
+//!   share, random Clifford circuits — exactly when every measurement is
+//!   determined, and within sampling tolerance otherwise.
 //! * Parallel shot execution with a fixed seed must reproduce the
 //!   single-threaded `Counts` bit for bit, on every backend and path.
 
@@ -18,11 +16,6 @@ use qugen::qsim::exec::ExecutorConfig;
 use qugen::qsim::noise::NoiseModel;
 
 const N: usize = 5;
-
-/// Untruncated bond bound for `N`-qubit circuits: χ = 2^⌊N/2⌋ holds any
-/// state exactly, so MPS parity failures would be real bugs, not
-/// truncation artifacts.
-const EXACT_CHI: usize = 1 << (N / 2);
 
 /// Strategy: one random Clifford op (gate, measure or reset) over `N`
 /// qubits, encoded as (selector, q, offset).
@@ -82,63 +75,6 @@ fn clifford_circuit(ops: &[(u8, usize, usize)]) -> Circuit {
     qc
 }
 
-/// A general (non-Clifford) circuit with interleaved measurement/reset
-/// from the same encoded op stream: T, rotations and Toffolis replace some
-/// Clifford selectors so every case leaves the stabilizer class.
-fn general_circuit(ops: &[(u8, usize, usize)]) -> Circuit {
-    let mut qc = Circuit::new(N, N);
-    for &(sel, q, off) in ops {
-        let p = (q + off) % N;
-        match sel {
-            0 => {
-                qc.h(q);
-            }
-            1 => {
-                qc.t(q);
-            }
-            2 => {
-                qc.tdg(q);
-            }
-            3 => {
-                qc.ry(0.3 + q as f64, q);
-            }
-            4 => {
-                qc.rz(0.7 + off as f64, q);
-            }
-            5 => {
-                qc.x(q);
-            }
-            6 => {
-                qc.cp(0.5 + q as f64, q, p);
-            }
-            7 => {
-                qc.cx(q, p);
-            }
-            8 => {
-                qc.cz(q, p);
-            }
-            9 => {
-                let r = (q + 1) % N;
-                if r != q && r != p {
-                    qc.ccx(q, p, r);
-                }
-            }
-            10 => {
-                qc.measure(q, q);
-            }
-            11 => {
-                qc.reset(q);
-            }
-            _ => {
-                qc.cond_gate(Gate::X, &[p], q, true);
-            }
-        }
-    }
-    qc.t(0); // guarantee the general class even for short streams
-    qc.measure_all();
-    qc
-}
-
 fn run_forced(backend: BackendChoice, qc: &Circuit, shots: u64, seed: u64) -> Counts {
     ExecutorConfig::new()
         .backend(backend)
@@ -169,8 +105,7 @@ proptest! {
     }
 
     /// Determined circuits (no superposition before any measurement) must
-    /// agree *exactly*: every shot yields the same word on all three
-    /// backends.
+    /// agree *exactly*: every shot yields the same word on both backends.
     #[test]
     fn backends_agree_exactly_on_determined_circuits(
         flips in prop::collection::vec(0u8..2, N),
@@ -192,10 +127,8 @@ proptest! {
         qc.measure_all();
         let dense = run_forced(BackendChoice::Dense, &qc, 64, 5);
         let tableau = run_forced(BackendChoice::Tableau, &qc, 64, 99);
-        let mps = run_forced(BackendChoice::Mps { max_bond: EXACT_CHI }, &qc, 64, 7);
         prop_assert_eq!(dense.distinct_outcomes(), 1);
         prop_assert_eq!(&dense, &tableau);
-        prop_assert_eq!(&dense, &mps);
     }
 
     /// Fixed-seed parallel execution reproduces the single-threaded counts
@@ -227,78 +160,6 @@ proptest! {
     }
 }
 
-// MPS parity cases run fewer shots and proptest cases: the per-shot
-// trajectory replay on the MPS engine is far more expensive than on the
-// dense engine at 5 qubits (it exists for *large* circuits), and the seeds
-// are deterministic, so a smaller sample keeps the suite fast without
-// flakiness.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// MPS at untruncated χ and the dense engine must agree on random
-    /// *general* circuits (T gates, rotations, Toffolis, mid-circuit
-    /// measurement and classical control) within sampling tolerance —
-    /// the class only those two engines share.
-    #[test]
-    fn mps_and_dense_agree_on_random_general_circuits(
-        ops in prop::collection::vec(arb_clifford_op(), 0..16),
-        seed in 0u64..1_000,
-    ) {
-        let qc = general_circuit(&ops);
-        let shots = 2048;
-        let dense = run_forced(BackendChoice::Dense, &qc, shots, seed).to_distribution();
-        let mps = run_forced(
-            BackendChoice::Mps { max_bond: EXACT_CHI },
-            &qc,
-            shots,
-            seed ^ 0x5A5A,
-        )
-        .to_distribution();
-        let tvd = dense.tvd(&mps);
-        prop_assert!(tvd < 0.15, "dense vs mps tvd = {tvd}");
-    }
-
-    /// MPS and the tableau must agree on random Clifford circuits — the
-    /// third edge of the three-way parity triangle.
-    #[test]
-    fn mps_and_tableau_agree_on_random_clifford_circuits(
-        ops in prop::collection::vec(arb_clifford_op(), 0..20),
-        seed in 0u64..1_000,
-    ) {
-        let qc = clifford_circuit(&ops);
-        let shots = 2048;
-        let tableau = run_forced(BackendChoice::Tableau, &qc, shots, seed).to_distribution();
-        let mps = run_forced(
-            BackendChoice::Mps { max_bond: EXACT_CHI },
-            &qc,
-            shots,
-            seed ^ 0x1234,
-        )
-        .to_distribution();
-        let tvd = tableau.tvd(&mps);
-        prop_assert!(tvd < 0.15, "tableau vs mps tvd = {tvd}");
-    }
-
-    /// Parallel MPS execution is bit-identical to serial, on both the
-    /// sampling fast path (measure-at-end) and the trajectory path.
-    #[test]
-    fn mps_parallel_execution_is_deterministic(
-        ops in prop::collection::vec(arb_clifford_op(), 0..12),
-        seed in 0u64..1_000,
-        threads in 2usize..5,
-    ) {
-        let qc = general_circuit(&ops);
-        let config = ExecutorConfig::new().backend(BackendChoice::Mps { max_bond: EXACT_CHI });
-        let serial = config.clone().build().try_run(&qc, 1500, seed).expect("runnable");
-        let parallel = config
-            .threads(threads)
-            .build()
-            .try_run(&qc, 1500, seed)
-            .expect("runnable");
-        prop_assert_eq!(&serial, &parallel);
-    }
-}
-
 #[test]
 fn distance5_memory_circuit_runs_end_to_end() {
     // The acceptance workload: a 49-qubit Clifford syndrome-extraction
@@ -313,40 +174,4 @@ fn distance5_memory_circuit_runs_end_to_end() {
         .try_run(&mem.circuit, 200, 31)
         .expect("tableau dispatch handles 49-qubit Clifford circuits");
     assert_eq!(counts.shots(), 200);
-}
-
-#[test]
-fn brickwork_30q_runs_on_mps_but_not_dense() {
-    // The MPS acceptance workload: a 30-qubit non-Clifford brickwork
-    // circuit — refused by the dense engine, auto-dispatched to MPS by the
-    // short-range heuristic, and completed there.
-    use qugen::qsim::backend::SimError;
-    let n = 30;
-    let mut qc = Circuit::new(n, n);
-    for layer in 0..4 {
-        for q in 0..n {
-            qc.ry(0.3 + 0.1 * (q + layer) as f64, q);
-        }
-        for q in ((layer % 2)..n - 1).step_by(2) {
-            qc.cp(0.4 + 0.05 * q as f64, q, q + 1);
-        }
-    }
-    qc.measure_all();
-    assert!(matches!(
-        ExecutorConfig::new()
-            .backend(BackendChoice::Dense)
-            .build()
-            .try_run(&qc, 64, 9),
-        Err(SimError::QubitCapExceeded {
-            backend: "dense",
-            ..
-        })
-    ));
-    let counts = ExecutorConfig::new()
-        .threads(2)
-        .build()
-        .try_run(&qc, 64, 9)
-        .expect("auto dispatch routes short-range general circuits to MPS");
-    assert_eq!(counts.shots(), 64);
-    assert_eq!(counts.num_clbits(), n);
 }

@@ -17,9 +17,6 @@ mod surface_code_memory;
 #[path = "../examples/device_targeted_vqe.rs"]
 mod device_targeted_vqe;
 
-#[path = "../examples/mps_low_entanglement.rs"]
-mod mps_low_entanglement;
-
 #[path = "../examples/technique_shootout.rs"]
 mod technique_shootout;
 
@@ -44,11 +41,6 @@ fn surface_code_memory_runs() {
 #[test]
 fn device_targeted_vqe_runs() {
     device_targeted_vqe::main();
-}
-
-#[test]
-fn mps_low_entanglement_runs() {
-    mps_low_entanglement::main();
 }
 
 #[test]
